@@ -19,6 +19,7 @@ from .metrics import (
     StatsReport,
     TwoSection,
     ccdf_report,
+    census,
     graph_modularity,
     hypergraph_modularity,
     two_section,
@@ -51,6 +52,7 @@ __all__ = [
     "graph_modularity",
     "hypergraph_modularity",
     "type_histogram",
+    "census",
     "ccdf_report",
     "HgbenchError",
     "InfeasibleError",

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import io
 import os
+import re
 import sys
 
 import numpy as np
@@ -27,15 +28,19 @@ from .config import (
     modularity_weights,
     validate,
 )
-from .errors import HgbenchError, InfeasibleError, InvalidParameters, UnrepairableError
-from .generation import generate
-from .metrics import (
-    ccdf_report,
-    graph_modularity,
-    hypergraph_modularity,
-    two_section,
-    type_histogram,
+from .errors import (
+    HgbenchError,
+    InfeasibleError,
+    InvalidParameters,
+    UndefinedInputError,
+    UnrepairableError,
 )
+from .generation import generate
+from .metrics import ccdf_report, census
+
+# The report reads every modularity and histogram line from one census.  These
+# metrics stay importable from here, where bench/worker.py traces them.
+from .metrics import graph_modularity, hypergraph_modularity, two_section, type_histogram  # noqa: F401
 
 OUT_DIR_ENV = "HGBENCH_OUT_DIR"
 DEFAULT_PREFIX = "hgbench"
@@ -286,23 +291,74 @@ def read_edges_file(path: str) -> list[list[int]]:
 
 
 def read_assignment_file(path: str) -> np.ndarray:
-    """Parse an assignment file back into a 0-based label array."""
-    pairs = []
+    """Parse an assignment file back into a 0-based label array.
+
+    The node count n comes from the header's ``nodes=`` field, or else from
+    the number of data lines.  Every node 1..n needs exactly one line
+    "node community" with a positive community id; the first fault raises a
+    ValueError naming ``path:line``.
+    """
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            node, comm = text.split()
-            pairs.append((int(node) - 1, int(comm) - 1))
-    labels = np.zeros(len(pairs), dtype=np.int64)
-    for node, comm in pairs:
-        labels[node] = comm
+        raw = handle.read().encode()   # universal newlines: every line ends in \n
+
+    def fail(lineno, why: str):
+        raise ValueError(f"{path}:{lineno}: {why}")
+
+    text = re.sub(rb"#[^\n]*", b"", raw)       # comments go, line breaks stay
+    tokens = text.split()
+    buf = np.frombuffer(text, dtype=np.uint8)
+    blank = np.isin(buf, np.frombuffer(b" \t\n\r\v\f", dtype=np.uint8))
+    starts = np.flatnonzero(~blank & np.concatenate(([True], blank[:-1])))
+    token_line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts) + 1
+    per_line = np.bincount(token_line)
+    wrong = np.flatnonzero((per_line != 0) & (per_line != 2))
+    if len(wrong):
+        shown = raw.split(b"\n")[wrong[0] - 1].decode(errors="replace").strip()
+        fail(wrong[0], f"expected 'node community', got {shown!r}")
+    linenos = token_line[::2]
+    try:
+        node, comm = np.array(tokens, dtype=np.int64).reshape(-1, 2).T
+    except (ValueError, OverflowError):
+        for tok, lineno in zip(tokens, token_line):
+            try:
+                np.int64(int(tok))
+            except (ValueError, OverflowError) as exc:
+                fail(lineno, f"bad number: {exc}")
+        raise
+    n = len(node)
+    header = re.search(rb"^#.*\bnodes=(\d+)", raw, re.MULTILINE)
+    if header:
+        n = int(header[1])
+    bad = np.flatnonzero((node < 1) | (node > n) | (comm < 1))
+    if len(bad):
+        k = bad[0]
+        fail(linenos[k], f"node must be in 1..{n} and community >= 1, got {node[k]} {comm[k]}")
+    order = np.argsort(node, kind="stable")
+    repeats = order[1:][node[order[1:]] == node[order[:-1]]]
+    if len(repeats):
+        k = repeats.min()
+        fail(linenos[k], f"node {node[k]} is assigned twice")
+    if len(node) < n:
+        # ids are distinct and in range, so the first gap is a missing node
+        gaps = np.flatnonzero(node[order] != np.arange(1, len(node) + 1))
+        missing = gaps[0] + 1 if len(gaps) else len(node) + 1
+        fail(raw.count(b"\n", 0, header.start()) + 1, f"node {missing} has no assignment")
+    labels = np.empty(n, dtype=np.int64)
+    labels[node - 1] = comm - 1
     return labels
 
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
+
+
+def _score_line(name: str, score, *args) -> str:
+    """"name value", or "name undefined" when score(*args) has no value: no
+    edges, or (pairwise) no edge with two distinct members."""
+    try:
+        return f"{name} {_fmt(score(*args))}"
+    except UndefinedInputError:
+        return f"{name} undefined"
 
 
 def _params_lines(params: GeneratorParams, w_model: str) -> list[str]:
@@ -359,33 +415,21 @@ def write_report_file(path: str, result, params: GeneratorParams,
         for d in range(1, params.max_edge_size + 1):
             lines.append(f"{d} {rep.edge_size_counts[d - 1]} {_fmt(rep.volume_share[d - 1])}")
 
+    if settings["modularity"] or settings["histograms"]:
+        cen = census(hg, truth.member_of)
+
     if settings["modularity"]:
         lines.append("[modularity]")
-        ts = two_section(hg)
-        if ts.total_weight == 0:
-            # all edges have a single distinct member; the clique expansion
-            # is empty and pairwise modularity has no value
-            lines.append("two_section undefined")
-        else:
-            lines.append(f"two_section {_fmt(graph_modularity(ts, truth.member_of))}")
-        for name in WEIGHT_MODELS:
-            if hg.edge_count == 0:
-                lines.append(f"hypergraph_{name} undefined")
-                continue
-            u = modularity_weights(name, params.max_edge_size)
-            value = hypergraph_modularity(hg, truth.member_of, u)
-            lines.append(f"hypergraph_{name} {_fmt(value)}")
+        lines.append(_score_line("two_section", cen.pairwise_modularity))
+        lines.extend(_score_line(f"hypergraph_{name}", cen.hypergraph_modularity,
+                                 modularity_weights(name, params.max_edge_size))
+                     for name in WEIGHT_MODELS)
 
     if settings["histograms"]:
-        hist = type_histogram(hg, truth.member_of)
-        sizes = hg.sizes()
-        per_size = np.bincount(sizes, minlength=params.max_edge_size + 1)
         lines.append("[type_histogram]")
         lines.append("size majority count fraction")
-        for c, d in sorted(hist, key=lambda key: (key[1], key[0])):
-            count = hist[(c, d)]
-            frac = count / per_size[d] if per_size[d] else 0.0
-            lines.append(f"{d} {c} {count} {_fmt(frac)}")
+        for (c, d), count in cen.type_histogram().items():
+            lines.append(f"{d} {c} {count} {_fmt(count / int(cen.counts[d].sum()))}")
 
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

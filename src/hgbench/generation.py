@@ -313,17 +313,6 @@ def build_background_edges(z: np.ndarray, params: GeneratorParams,
     batch.add(smallest, ORIGIN_BACKGROUND, 1, extra.astype(np.int32))
 
 
-def sort_edge_members(hg: Hypergraph) -> None:
-    """Sort member slots ascending within every edge, in place and vectorized."""
-    sizes = hg.sizes()
-    for d in np.unique(sizes):
-        if d <= 1:
-            continue
-        idx = np.nonzero(sizes == d)[0]
-        slots = hg.offsets[idx][:, None] + np.arange(d)[None, :]
-        hg.members[slots] = np.sort(hg.members[slots], axis=1)
-
-
 def generate(params: GeneratorParams) -> GenerationResult:
     """Run the full pipeline for one seed; returns the hypergraph and its ground truth.
 
@@ -375,7 +364,7 @@ def generate(params: GeneratorParams) -> GenerationResult:
 
     t0 = time.perf_counter()
     hg = batch.merge(params.n)
-    sort_edge_members(hg)
+    hg.sort_members()
     timings["assembly"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -25,27 +25,8 @@ def _normalize_partition(labels, n: int):
     if arr.shape != (n,):
         raise ValueError(f"partition must label all {n} nodes, got shape {arr.shape}")
     uniq, parts = np.unique(arr, return_inverse=True)
-    return parts.astype(np.int64), len(uniq)
-
-
-def _size_class_rows(hg: Hypergraph, idx: np.ndarray, d: int) -> np.ndarray:
-    """Member matrix (len(idx), d) for the size-d edges listed in idx."""
-    return hg.members[hg.offsets[idx][:, None] + np.arange(d, dtype=np.int64)]
-
-
-def _part_runs(prows: np.ndarray):
-    """Run lengths of equal labels in row-sorted label rows, plus run row ids.
-
-    Rows are sorted ascending, so equal labels sit next to each other; each
-    run is one (edge, part) overlap and its length is the overlap size.
-    """
-    starts = np.ones(prows.shape, dtype=bool)
-    starts[:, 1:] = prows[:, 1:] != prows[:, :-1]
-    flat = starts.ravel()
-    pos = np.flatnonzero(flat)
-    lengths = np.diff(pos, append=prows.size)
-    runs_per_row = starts.sum(axis=1)
-    return lengths, runs_per_row
+    # node ids are int32, so the part ids of n nodes fit too
+    return parts.astype(np.int32), len(uniq)
 
 
 @dataclass
@@ -67,33 +48,19 @@ class TwoSection:
 
 def two_section(hg: Hypergraph) -> TwoSection:
     """Clique expansion of the hypergraph; each deduplicated edge gives unit pairs."""
-    sizes = hg.sizes()
-    us, vs = [], []
-    for d in np.unique(sizes):
-        d = int(d)
-        if d < 2:
-            continue
-        idx = np.nonzero(sizes == d)[0]
-        rows = _size_class_rows(hg, idx, d)
+    # int64 seeds: the key below cannot overflow, and no pairs is no error
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for d, slots in hg.size_classes():
+        rows = hg.members[slots]
         firsts = np.ones(rows.shape, dtype=bool)
-        firsts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        for i in range(d):
-            for j in range(i + 1, d):
-                sel = firsts[:, i] & firsts[:, j]
-                us.append(rows[sel, i])
-                vs.append(rows[sel, j])
-    if us:
-        u = np.concatenate(us).astype(np.int64)
-        v = np.concatenate(vs).astype(np.int64)
-        key = u * hg.n + v
-        uniq, counts = np.unique(key, return_counts=True)
-        pair_u = uniq // hg.n
-        pair_v = uniq % hg.n
-        weight = counts.astype(np.int64)
-    else:
-        pair_u = np.empty(0, dtype=np.int64)
-        pair_v = np.empty(0, dtype=np.int64)
-        weight = np.empty(0, dtype=np.int64)
+        firsts[1:] = rows[1:] != rows[:-1]
+        i, j = np.triu_indices(d, 1)
+        sel = firsts[i] & firsts[j]
+        us.append(rows[i][sel])
+        vs.append(rows[j][sel])
+    key = np.concatenate(us) * hg.n + np.concatenate(vs)
+    uniq, weight = np.unique(key, return_counts=True)
+    pair_u, pair_v = uniq // hg.n, uniq % hg.n
     degree = (np.bincount(pair_u, weights=weight, minlength=hg.n)
               + np.bincount(pair_v, weights=weight, minlength=hg.n))
     return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()))
@@ -111,6 +78,102 @@ def graph_modularity(graph: TwoSection, partition) -> float:
     return float(internal - tax)
 
 
+@dataclass
+class Census:
+    """Edge compositions of a hypergraph under a node partition: counts[d, c]
+    counts the size-d edges whose largest part holds c > d/2 slots, and
+    counts[d, 0] those without a strict majority."""
+
+    hg: Hypergraph
+    slot_parts: np.ndarray     # part of every member slot
+    slot_volume: np.ndarray    # member slots per part
+    counts: np.ndarray
+
+    def hypergraph_modularity(self, u: WeightMatrix) -> float:
+        """See the module-level ``hypergraph_modularity``."""
+        hg = self.hg
+        if hg.edge_count == 0:
+            raise UndefinedInputError("hypergraph modularity needs at least one edge")
+        p = self.slot_volume.astype(np.float64) / hg.volume
+        total = 0.0
+        for d in range(2, len(self.counts)):
+            edge_total = int(self.counts[d].sum())
+            if edge_total == 0:
+                continue
+            if d > u.max_edge_size:
+                raise ValueError(
+                    f"edge size {d} exceeds the weight matrix limit {u.max_edge_size}")
+            for c in range(lowest_majority_count(d), d + 1):
+                ucd = u.values[c, d]
+                if ucd == 0.0:
+                    continue
+                if c == d:
+                    null = float((p ** d).sum())
+                else:
+                    with np.errstate(divide="ignore"):
+                        logpmf = (log_binomial(d, c) + c * np.log(p)
+                                  + (d - c) * np.log1p(-p))
+                    null = float(np.exp(logpmf).sum())
+                total += ucd * (int(self.counts[d, c]) - edge_total * null) / hg.edge_count
+        return float(total)
+
+    def type_histogram(self) -> dict[tuple[int, int], int]:
+        """See the module-level ``type_histogram``."""
+        out: dict[tuple[int, int], int] = {}
+        for d in np.flatnonzero(self.counts.any(axis=1)).tolist():
+            if d > 1:
+                out[(0, d)] = int(self.counts[d, 0])
+            for c in range(lowest_majority_count(d), d + 1):
+                out[(c, d)] = int(self.counts[d, c])
+        return out
+
+    def pairwise_modularity(self) -> float:
+        """``graph_modularity(two_section(hg), partition)``, bit for bit, from
+        integer pair totals; each distinct member of an edge with D distinct
+        members adds D - 1 to its part's volume."""
+        internal = total = 0
+        volume = np.zeros(len(self.slot_volume))
+        for d, slots in self.hg.size_classes():
+            nodes = self.hg.members[slots]
+            first = np.ones(nodes.shape, dtype=bool)   # slots are sorted per edge
+            first[1:] = nodes[1:] != nodes[:-1]
+            distinct = first.sum(axis=0)
+            total += int((distinct * (distinct - 1) // 2).sum())
+            # a repeated slot gets a label no part has, so it pairs with nothing
+            labels = np.where(first, self.slot_parts[slots], -1 - np.arange(d)[:, None])
+            i, j = np.triu_indices(d, 1)
+            internal += int(np.count_nonzero(labels[i] == labels[j]))
+            gain = np.broadcast_to(distinct - 1, labels.shape)[first]
+            volume += np.bincount(labels[first], weights=gain, minlength=len(volume))
+        if total == 0:
+            raise UndefinedInputError("graph modularity needs at least one edge")
+        return float(internal / total - ((volume / (2 * total)) ** 2).sum())
+
+
+def census(hg: Hypergraph, partition) -> Census:
+    """Composition census of hg under a node partition (one label per node).
+
+    Hypergraph modularity depends on the edges only through the counts and
+    the part volumes.  Per size class, a Boyer-Moore vote down the slot
+    positions leaves each edge's only possible majority part as candidate;
+    counting the candidate's slots settles it, with no sort.
+    """
+    parts, k = _normalize_partition(partition, hg.n)
+    slot_parts = parts[hg.members]
+    top = int(hg.sizes().max(initial=0))
+    counts = np.zeros((top + 1, top + 1), dtype=np.int64)
+    for d, slots in hg.size_classes():
+        labels = slot_parts[slots]
+        cand = labels[0].copy()
+        votes = np.ones(len(cand), dtype=np.int64)
+        for row in labels[1:]:
+            np.copyto(cand, row, where=votes == 0)
+            votes += np.where(row == cand, 1, -1)
+        hits = (labels == cand).sum(axis=0)
+        counts[d, : d + 1] = np.bincount(np.where(2 * hits > d, hits, 0), minlength=d + 1)
+    return Census(hg, slot_parts, np.bincount(slot_parts, minlength=k), counts)
+
+
 def hypergraph_modularity(hg: Hypergraph, partition, u: WeightMatrix) -> float:
     """Size-and-type weighted modularity of a node partition.
 
@@ -119,63 +182,16 @@ def hypergraph_modularity(hg: Hypergraph, partition, u: WeightMatrix) -> float:
     null expectation at that part's volume fraction; the differences are
     weighted by u[c, d] and scaled by the total edge count.
     """
-    if hg.edge_count == 0:
-        raise UndefinedInputError("hypergraph modularity needs at least one edge")
-    parts, k = _normalize_partition(partition, hg.n)
-    vol_part = np.bincount(parts[hg.members], minlength=k).astype(np.float64)
-    p = vol_part / hg.volume
-    sizes = hg.sizes()
-    total = 0.0
-    for d in np.unique(sizes):
-        d = int(d)
-        if d < 2:
-            continue
-        if d > u.max_edge_size:
-            raise ValueError(
-                f"edge size {d} exceeds the weight matrix limit {u.max_edge_size}")
-        idx = np.nonzero(sizes == d)[0]
-        prows = np.sort(parts[_size_class_rows(hg, idx, d)], axis=1)
-        lengths, _ = _part_runs(prows)
-        observed = np.bincount(lengths, minlength=d + 1)
-        edge_total = len(idx)
-        for c in range(lowest_majority_count(d), d + 1):
-            ucd = u.values[c, d]
-            if ucd == 0.0:
-                continue
-            if c == d:
-                null = float((p ** d).sum())
-            else:
-                with np.errstate(divide="ignore"):
-                    logpmf = (log_binomial(d, c) + c * np.log(p)
-                              + (d - c) * np.log1p(-p))
-                null = float(np.exp(logpmf).sum())
-            total += ucd * (int(observed[c]) - edge_total * null) / hg.edge_count
-    return float(total)
+    return census(hg, partition).hypergraph_modularity(u)
 
 
 def type_histogram(hg: Hypergraph, partition) -> dict[tuple[int, int], int]:
     """Edge counts keyed by (majority count, size); key (0, d) means no strict majority.
 
-    For every edge size present, all legal keys appear, zero counts included.
+    For every edge size present, all legal keys appear, zero counts included,
+    ordered by size and then by majority count.
     """
-    parts, _ = _normalize_partition(partition, hg.n)
-    sizes = hg.sizes()
-    out: dict[tuple[int, int], int] = {}
-    for d in np.unique(sizes):
-        d = int(d)
-        idx = np.nonzero(sizes == d)[0]
-        prows = np.sort(parts[_size_class_rows(hg, idx, d)], axis=1)
-        lengths, runs_per_row = _part_runs(prows)
-        row_start = np.zeros(len(idx), dtype=np.int64)
-        np.cumsum(runs_per_row[:-1], out=row_start[1:])
-        top = np.maximum.reduceat(lengths, row_start)
-        majority = np.where(2 * top > d, top, 0)
-        counts = np.bincount(majority, minlength=d + 1)
-        if d > 1:
-            out[(0, d)] = int(counts[0])
-        for c in range(lowest_majority_count(d), d + 1):
-            out[(c, d)] = int(counts[c])
-    return out
+    return census(hg, partition).type_histogram()
 
 
 @dataclass

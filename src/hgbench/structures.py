@@ -1,6 +1,7 @@
 """Array-backed containers shared by generation, rewiring, metrics, and the CLI."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,19 +48,38 @@ class Hypergraph:
     def edge_lists(self) -> list[list[int]]:
         return [self.edge(i).tolist() for i in range(self.edge_count)]
 
+    def size_classes(self):
+        """(d, slots) for every nonempty edge size d present, ascending.
+
+        slots[j, i] indexes into ``members`` the j-th slot of the i-th
+        size-d edge, so ``members[slots]`` holds one slot position per row.
+        """
+        sizes = self.sizes()
+        for d in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+            d = int(d)
+            yield d, self.offsets[:-1][sizes == d] + np.arange(d, dtype=np.int64)[:, None]
+
+    def sort_members(self) -> None:
+        """Sort member slots ascending within every edge, in place."""
+        for d, slots in self.size_classes():
+            if d > 1:
+                self.members[slots] = np.sort(self.members[slots], axis=0)
+
     @classmethod
     def from_edge_lists(cls, n: int, edges, origins=None) -> "Hypergraph":
-        sizes = np.fromiter((len(e) for e in edges), dtype=np.int64, count=len(edges))
+        """Hypergraph from member-id lists given in any order; stored sorted."""
+        sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
         offsets = np.zeros(len(edges) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        members = np.empty(offsets[-1], dtype=np.int32)
-        for i, e in enumerate(edges):
-            members[offsets[i]: offsets[i + 1]] = sorted(e)
+        members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,
+                              count=offsets[-1])
         if origins is None:
             origins_arr = np.full(len(edges), ORIGIN_BACKGROUND, dtype=np.int32)
         else:
             origins_arr = np.asarray(origins, dtype=np.int32)
-        return cls(n, offsets, members, origins_arr)
+        hg = cls(n, offsets, members, origins_arr)
+        hg.sort_members()
+        return hg
 
 
 @dataclass

@@ -1,18 +1,24 @@
 """Command-line behavior: exit codes, file formats, round trips, determinism."""
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
 from hgbench.cli import (
+    build_params,
+    build_parser,
     load_config_file,
     load_weight_file,
     main,
+    merge_settings,
     read_assignment_file,
     read_edges_file,
+    write_report_file,
 )
 from hgbench.config import build_weight_matrix, default_params
 from hgbench.generation import generate
+from hgbench.structures import CommunityAssignment, DegreeProfiles, GenerationResult, Hypergraph
 
 
 def run_cli(*argv):
@@ -211,6 +217,108 @@ class TestOutputs:
         assert run_cli("--n", "400", "--out", str(out)) == 0
         assert (tmp_path / "direct" / "run.edges").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestReportScores:
+    @pytest.mark.parametrize("edges, expected", [
+        ([], ["two_section undefined", "hypergraph_majority undefined",
+              "hypergraph_linear undefined", "hypergraph_strict undefined"]),
+        # no edge has two distinct members, but the hypergraph scores exist
+        ([[0, 0], [1], [2, 2, 2]], ["two_section undefined", "hypergraph_majority 0.1666666667",
+                                    "hypergraph_linear 0.25", "hypergraph_strict 0.4166666667"]),
+    ])
+    def test_scores_without_a_value_read_undefined(self, tmp_path, edges, expected):
+        settings = merge_settings(build_parser().parse_args(["--n", "1000", "--no-stats"]))
+        zeros = np.zeros(4, dtype=np.int64)
+        result = GenerationResult(
+            Hypergraph.from_edge_lists(4, edges),
+            CommunityAssignment(np.array([2, 2]), np.array([0, 0, 1, 1], dtype=np.int32)),
+            DegreeProfiles(zeros, zeros, zeros, zeros, zeros))
+        path = tmp_path / "r.report.txt"
+        write_report_file(str(path), result, build_params(settings), settings)
+        text = read(path).split("[modularity]\n")[1].splitlines()
+        assert text[:4] == expected
+
+
+class TestGoldenDigests:
+    """Pinned sha256 of every output file; a change to any of them is a change
+    of the program's output for a given seed and must bump the version."""
+
+    CASES = {
+        "majority-simple": (
+            ["--n", "2000", "--seed", "7", "--w-model", "majority"],
+            {".edges": "790276b540aea97c4b411877b3fad164235de8b7262dcf60123e4e47f7c86a90",
+             ".assign": "ce156b76eeec1fe91fc6505ba747725b526906236c4edee3a03f607a63a18254",
+             ".report.txt": "4f6b8cd5aa43450f35c88513570a781ebce51efd07a855afb8b436d8440dccf3"}),
+        "strict-multi": (
+            ["--n", "2000", "--seed", "7", "--w-model", "strict", "--no-simple"],
+            {".edges": "808743023788256d9d83e84bb29e2122dc0d9e71617ca5d78aa159966fc292c2",
+             ".assign": "ce156b76eeec1fe91fc6505ba747725b526906236c4edee3a03f607a63a18254",
+             ".report.txt": "2a18cbe069f3216d8176f43a0c3f6cddbf783b42053b75471dac377a773cc9cc"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_match_pinned_digests(self, tmp_path, case):
+        argv, digests = self.CASES[case]
+        out = tmp_path / case
+        assert run_cli(*argv, "--out", str(out)) == 0
+        for ext, digest in digests.items():
+            with open(f"{out}{ext}", "rb") as handle:
+                assert hashlib.sha256(handle.read()).hexdigest() == digest, ext
+
+
+class TestAssignmentReader:
+    HEADER = "# hgbench 0.2.0 assignments\n# nodes=4 communities=2 seed=0\n"
+
+    def write(self, tmp_path, body, header=HEADER):
+        path = tmp_path / "x.assign"
+        path.write_text(header + body, encoding="utf-8")
+        return str(path)
+
+    def test_reads_a_valid_file(self, tmp_path):
+        body = "1 2\n3 1  # inline comment\n\n2 2\n4 1\n"
+        for newline in ("\n", "\r\n", "\r"):
+            path = self.write(tmp_path, body.replace("\n", newline),
+                              header=self.HEADER.replace("\n", newline))
+            assert read_assignment_file(path).tolist() == [1, 1, 0, 0]
+
+    def test_missing_node(self, tmp_path):
+        path = self.write(tmp_path, "1 1\n2 1\n4 2\n")
+        with pytest.raises(ValueError, match=r"x\.assign:2: node 3 has no assignment"):
+            read_assignment_file(path)
+
+    def test_duplicate_node(self, tmp_path):
+        path = self.write(tmp_path, "1 1\n2 1\n3 2\n2 2\n4 2\n")
+        with pytest.raises(ValueError, match=r"x\.assign:6: node 2 is assigned twice"):
+            read_assignment_file(path)
+
+    def test_out_of_range_node(self, tmp_path):
+        path = self.write(tmp_path, "1 1\n2 1\n3 2\n5 2\n")
+        with pytest.raises(ValueError, match=r"x\.assign:6: node must be in 1\.\.4"):
+            read_assignment_file(path)
+
+    def test_non_positive_ids(self, tmp_path):
+        for line, bad in (("0 1", "0 1"), ("4 0", "4 0"), ("-3 2", "-3 2")):
+            path = self.write(tmp_path, f"1 1\n2 1\n3 2\n{line}\n")
+            with pytest.raises(ValueError, match=rf"x\.assign:6: .*got {bad}$"):
+                read_assignment_file(path)
+
+    def test_line_without_two_fields(self, tmp_path):
+        for line in ("4", "4 2 9"):
+            path = self.write(tmp_path, f"1 1\n2 1\n{line}\n3 2\n")
+            with pytest.raises(ValueError, match=r"x\.assign:5: expected 'node community'"):
+                read_assignment_file(path)
+
+    def test_non_integer_field(self, tmp_path):
+        path = self.write(tmp_path, "1 1\n2 x\n3 2\n4 1\n")
+        with pytest.raises(ValueError, match=r"x\.assign:4: bad number"):
+            read_assignment_file(path)
+
+    def test_without_header_the_line_count_is_n(self, tmp_path):
+        assert read_assignment_file(self.write(tmp_path, "2 1\n1 3\n", header="")).tolist() == [2, 0]
+        path = self.write(tmp_path, "1 1\n3 1\n", header="")
+        with pytest.raises(ValueError, match=r"x\.assign:2: node must be in 1\.\.2"):
+            read_assignment_file(path)
 
 
 class TestReplicates:

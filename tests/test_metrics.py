@@ -1,12 +1,22 @@
 """Closed-form modularity oracles, histogram cases, and CCDF sanity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgbench.config import build_weight_matrix, default_params
+from hgbench.assignment import log_binomial
+from hgbench.config import (
+    WEIGHT_MODELS,
+    build_weight_matrix,
+    default_params,
+    lowest_majority_count,
+    modularity_weights,
+)
 from hgbench.errors import UndefinedInputError
 from hgbench.generation import generate
 from hgbench.metrics import (
     ccdf_report,
+    census,
     graph_modularity,
     hypergraph_modularity,
     two_section,
@@ -17,6 +27,117 @@ from hgbench.structures import Hypergraph
 
 def hg_from(n, edges):
     return Hypergraph.from_edge_lists(n, edges)
+
+
+def sorted_label_runs(hg, labels):
+    """Reference path: per edge size d, the run lengths of equal labels in each
+    edge's sorted label row, and the longest run of every edge."""
+    parts = np.unique(np.asarray(labels), return_inverse=True)[1]
+    sizes = hg.sizes()
+    for d in np.unique(sizes):
+        d = int(d)
+        idx = np.flatnonzero(sizes == d)
+        rows = np.sort(parts[hg.members[hg.offsets[idx][:, None] + np.arange(d)]], axis=1)
+        starts = np.ones(rows.shape, dtype=bool)
+        starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        pos = np.flatnonzero(starts.ravel())
+        lengths = np.diff(pos, append=rows.size)
+        row_start = np.zeros(len(idx), dtype=np.int64)
+        np.cumsum(starts.sum(axis=1)[:-1], out=row_start[1:])
+        yield d, lengths, np.maximum.reduceat(lengths, row_start)
+
+
+def reference_hypergraph_modularity(hg, labels, u):
+    uniq, parts = np.unique(np.asarray(labels), return_inverse=True)
+    p = np.bincount(parts[hg.members], minlength=len(uniq)).astype(np.float64) / hg.volume
+    total = 0.0
+    for d, lengths, longest in sorted_label_runs(hg, labels):
+        if d < 2:
+            continue
+        observed = np.bincount(lengths, minlength=d + 1)
+        for c in range(lowest_majority_count(d), d + 1):
+            ucd = u.values[c, d]
+            if ucd == 0.0:
+                continue
+            if c == d:
+                null = float((p ** d).sum())
+            else:
+                with np.errstate(divide="ignore"):
+                    logpmf = (log_binomial(d, c) + c * np.log(p)
+                              + (d - c) * np.log1p(-p))
+                null = float(np.exp(logpmf).sum())
+            total += ucd * (int(observed[c]) - len(longest) * null) / hg.edge_count
+    return float(total)
+
+
+def reference_type_histogram(hg, labels):
+    out = {}
+    for d, _, longest in sorted_label_runs(hg, labels):
+        counts = np.bincount(np.where(2 * longest > d, longest, 0), minlength=d + 1)
+        if d > 1:
+            out[(0, d)] = int(counts[0])
+        for c in range(lowest_majority_count(d), d + 1):
+            out[(c, d)] = int(counts[c])
+    return out
+
+
+@st.composite
+def labelled_multi_hypergraphs(draw):
+    """Edges of sizes 1-9 that may repeat slots and each other, plus one
+    arbitrary integer label per node (few distinct values or many)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=9),
+        max_size=30))
+    label = st.one_of(st.integers(min_value=-2, max_value=2),
+                      st.integers(min_value=-2**62, max_value=2**62))
+    labels = draw(st.lists(label, min_size=n, max_size=n))
+    return hg_from(n, edges), np.asarray(labels, dtype=np.int64)
+
+
+class TestCensusEquivalence:
+    @given(case=labelled_multi_hypergraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sorted_run_reference(self, case):
+        hg, labels = case
+        cen = census(hg, labels)
+        hist = cen.type_histogram()
+        assert hist == reference_type_histogram(hg, labels)
+        assert list(hist) == sorted(hist, key=lambda key: key[::-1])  # the report's order
+        assert type_histogram(hg, labels) == reference_type_histogram(hg, labels)
+        if hg.edge_count:
+            for name in WEIGHT_MODELS:
+                u = modularity_weights(name, 9)
+                expected = reference_hypergraph_modularity(hg, labels, u)
+                assert cen.hypergraph_modularity(u) == expected
+                assert hypergraph_modularity(hg, labels, u) == expected
+
+    @given(case=labelled_multi_hypergraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_pairwise_equals_two_section_modularity(self, case):
+        hg, labels = case
+        graph = two_section(hg)
+        cen = census(hg, labels)
+        if graph.total_weight == 0:
+            with pytest.raises(UndefinedInputError):
+                cen.pairwise_modularity()
+        else:
+            assert cen.pairwise_modularity() == graph_modularity(graph, labels)
+
+    def test_all_singleton_edges_leave_pairwise_undefined(self):
+        cen = census(hg_from(3, [[0, 0], [1], [2, 2, 2]]), [0, 1, 1])
+        with pytest.raises(UndefinedInputError):
+            cen.pairwise_modularity()
+
+    def test_generated_hypergraph_matches_every_path(self):
+        res = generate(default_params(2000, seed=3, simple=False))
+        hg, labels = res.hypergraph, res.assignment.member_of
+        cen = census(hg, labels)
+        assert cen.pairwise_modularity() == graph_modularity(two_section(hg), labels)
+        assert cen.type_histogram() == reference_type_histogram(hg, labels)
+        for name in WEIGHT_MODELS:
+            u = modularity_weights(name, 5)
+            assert cen.hypergraph_modularity(u) == reference_hypergraph_modularity(hg, labels, u)
 
 
 class TestTwoSection:
