@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
+import itertools
 import os
 import re
 import sys
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .generation import generate
 from .metrics import ccdf_report, census
+from .structures import member_lists, size_runs
 
 # The report reads every modularity and histogram line from one census.  These
 # metrics stay importable from here, where bench/worker.py traces them.
@@ -253,41 +254,107 @@ def resolve_prefix(out: str) -> str:
 
 
 def write_edges_file(path: str, hg, seed: int) -> None:
-    """One edge per line: member node ids, 1-based, ascending, space-separated."""
-    buf = io.StringIO()
-    buf.write(f"# hgbench {__version__} edges\n")
-    buf.write(f"# nodes={hg.n} edges={hg.edge_count} seed={seed}\n")
-    shifted = (hg.members.astype(np.int64) + 1).tolist()
-    offsets = hg.offsets.tolist()
-    for i in range(hg.edge_count):
-        buf.write(" ".join(map(str, shifted[offsets[i]: offsets[i + 1]])))
-        buf.write("\n")
+    """One edge per line: member node ids, 1-based, ascending, space-separated.
+
+    Edges come in runs of equal size, and each run is formatted with one
+    template of that run's shape.
+    """
+    sizes = hg.sizes()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(buf.getvalue())
+        handle.write(f"# hgbench {__version__} edges\n")
+        handle.write(f"# nodes={hg.n} edges={hg.edge_count} seed={seed}\n")
+        for e0, e1 in itertools.pairwise(size_runs(hg.offsets)):
+            ids = hg.members[hg.offsets[e0]: hg.offsets[e1]] + 1
+            line = " ".join(["%d"] * int(sizes[e0])) + "\n"
+            handle.write((line * (e1 - e0)) % tuple(ids.tolist()))
 
 
 def write_assignment_file(path: str, assignment, seed: int) -> None:
     """One line per node: "node community", both 1-based."""
     member_of = assignment.member_of
-    buf = io.StringIO()
-    buf.write(f"# hgbench {__version__} assignments\n")
-    buf.write(f"# nodes={len(member_of)} communities={len(assignment.sizes)} seed={seed}\n")
-    for node, comm in enumerate(member_of.tolist(), start=1):
-        buf.write(f"{node} {comm + 1}\n")
+    n = len(member_of)
+    rows = np.column_stack((np.arange(1, n + 1), member_of + 1))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(buf.getvalue())
+        handle.write(f"# hgbench {__version__} assignments\n")
+        handle.write(f"# nodes={n} communities={len(assignment.sizes)} seed={seed}\n")
+        handle.write(("%d %d\n" * n) % tuple(rows.ravel().tolist()))
+
+
+# byte -> 1 for a digit, 0 for whitespace, -1 for anything else
+_BYTE_CLASS = np.full(256, -1, dtype=np.int8)
+_BYTE_CLASS[list(b" \t\n\r\v\f")] = 0
+_BYTE_CLASS[ord("0"): ord("9") + 1] = 1
 
 
 def read_edges_file(path: str) -> list[list[int]]:
-    """Parse an edges file back into 0-based member lists."""
-    edges = []
+    """Parse an edges file back into 0-based member lists, in file order.
+
+    Every line that is not blank once '#' comments are removed is one edge:
+    node ids in 1..n, with n from the header's ``nodes=`` (else the largest
+    id).  When the header gives ``edges=``, the file must have that many
+    edge lines.  The first fault raises a ValueError naming ``path:line``.
+    """
+    return member_lists(*_parse_edges_file(path))
+
+
+def _parse_edges_file(path: str):
+    """(0-based ids, offsets) of an edges file, parsed in bulk.  Its own
+    function, so that the parse's temporaries are freed before the lists
+    are built."""
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            edges.append([int(tok) - 1 for tok in text.split()])
-    return edges
+        raw = handle.read().encode()   # universal newlines: every line ends in \n
+
+    def fail(lineno, why: str):
+        raise ValueError(f"{path}:{lineno}: {why}")
+
+    def line_of(pos) -> int:
+        return int(np.searchsorted(newlines, pos)) + 1
+
+    def header(key: bytes):
+        found = re.search(rb"^#.*\b" + key + rb"=(\d+)", raw, re.MULTILINE)
+        if found is None:
+            return None, None
+        return int(found[1]), raw.count(b"\n", 0, found.start()) + 1
+
+    n, _ = header(b"nodes")
+    edges, edges_line = header(b"edges")
+    text = re.sub(rb"#[^\n]*", b"", raw)      # comments go, line breaks stay
+    buf = np.frombuffer(text, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    kind = _BYTE_CLASS[buf]
+    if (kind < 0).any():
+        lineno = line_of(np.argmax(kind < 0))
+        shown = raw.split(b"\n")[lineno - 1].decode(errors="replace").strip()
+        fail(lineno, f"expected node ids, got {shown!r}")
+    # a token is a run of digits: it starts and ends where the digit mask flips
+    flips = np.flatnonzero(np.diff(kind.view(bool), prepend=False, append=False))
+    starts, ends = flips.reshape(-1, 2).T
+    del raw, buf, kind
+    # a wider token is out of range anyway; the cap keeps every id inside int64
+    width = min(len(str(n)) if n is not None else 18, 18)
+    wide = np.flatnonzero(ends - starts > width)
+    if len(wide):
+        k = wide[0]
+        fail(line_of(starts[k]),
+             f"node id {text[starts[k]: ends[k]].decode()} has more than {width} digits")
+    # fromstring reads a body with no tokens as [0]
+    ids = np.fromstring(text, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
+    del text
+    if n is None:
+        n = int(ids.max(initial=0))
+    bad = np.flatnonzero((ids < 1) | (ids > n))
+    if len(bad):
+        k = bad[0]
+        fail(line_of(starts[k]), f"node id {ids[k]} is outside 1..{n}")
+    # an edge starts at the first token and at the first token after a line break
+    firsts = np.searchsorted(starts, newlines)
+    line_starts = np.append(0, firsts[np.diff(firsts, prepend=0) > 0])
+    line_starts = line_starts[line_starts < len(ids)]
+    if edges is not None and edges != len(line_starts):
+        fail(edges_line, f"header says edges={edges}, "
+                         f"but the file has {len(line_starts)} edge lines")
+    ids -= 1
+    return ids, np.append(line_starts, len(ids))
 
 
 def read_assignment_file(path: str) -> np.ndarray:

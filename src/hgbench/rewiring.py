@@ -176,20 +176,18 @@ def _classify(hg: Hypergraph):
     """Flag defective edges and build per-size membership indexes of the intact ones.
 
     An edge is defective when it repeats a node or equals an earlier edge of
-    its size; the first of several equal edges stays intact.
+    its size; the first of several equal edges stays intact.  Generation
+    makes no empty edge, and the repair cannot change one, so one is refused.
     """
-    sizes = hg.sizes()
+    if not hg.sizes().all():
+        raise ValueError("cannot repair a hypergraph with an empty edge")
     classes: dict[int, SizeClassIndex] = {}
     bad = np.ones(hg.edge_count, dtype=bool)
-    for d in np.unique(sizes):
-        d = int(d)
-        idx = np.flatnonzero(sizes == d)
-        rows = hg.members[hg.offsets[idx][:, None] + np.arange(d, dtype=np.int64)]
-        if d > 1:
-            keep = np.flatnonzero((rows[:, 1:] != rows[:, :-1]).all(axis=1))
-        else:
-            keep = np.arange(len(idx))
-        classes[d] = SizeClassIndex(rows[keep])
+    for d, slots in hg.size_classes():
+        cols = hg.members[slots]   # column i: the i-th size-d edge, sorted
+        idx = np.searchsorted(hg.offsets, slots[0])   # offsets strictly increase
+        keep = np.flatnonzero((cols[1:] != cols[:-1]).all(axis=0))
+        classes[d] = SizeClassIndex(cols[:, keep].T)
         bad[idx[keep[classes[d].kept]]] = False
     return classes, bad
 
@@ -209,7 +207,8 @@ def rewire(hg: Hypergraph, rng: np.random.Generator, *,
     ``budget_per_bad`` times the initial queue length; a nonzero return means
     the budget ran out.  Member slots within each edge stay sorted throughout.
 
-    Raises UnrepairableError when no intact edge is available to merge with.
+    Raises UnrepairableError when no intact edge is available to merge with,
+    and ValueError when an edge is empty.
     """
     classes, bad_mask = _classify(hg)
     bad = deque(np.flatnonzero(bad_mask).tolist())

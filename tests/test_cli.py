@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, file formats, round trips, determinism."""
+import gc
 import hashlib
 import os
 
@@ -153,6 +154,15 @@ class TestOutputs:
         params = default_params(700, seed=4)
         res = generate(params)
         assert edges == res.hypergraph.edge_lists()
+
+    def test_edges_file_round_trip_with_repeated_slots(self, tmp_path):
+        out = tmp_path / "multi"
+        argv = ["--n", "700", "--seed", "4", "--w-model", "strict", "--no-simple"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        params = build_params(merge_settings(build_parser().parse_args(argv)))
+        edges = generate(params).hypergraph.edge_lists()
+        assert any(len(set(e)) < len(e) for e in edges)
+        assert read_edges_file(f"{out}.edges") == edges
 
     def test_edges_are_one_based_sorted(self, tmp_path):
         out = tmp_path / "fmt"
@@ -319,6 +329,74 @@ class TestAssignmentReader:
         path = self.write(tmp_path, "1 1\n3 1\n", header="")
         with pytest.raises(ValueError, match=r"x\.assign:2: node must be in 1\.\.2"):
             read_assignment_file(path)
+
+
+class TestEdgesReader:
+    HEADER = "# hgbench 0.2.0 edges\n# nodes=5 edges=3 seed=0\n"
+
+    def write(self, tmp_path, body, header=HEADER, newline="\n"):
+        path = tmp_path / "x.edges"
+        path.write_text((header + body).replace("\n", newline), encoding="utf-8")
+        return str(path)
+
+    def test_reads_a_valid_file(self, tmp_path):
+        body = "3 1 2  # trailing comment\n\n5 4 5\n  2 # another\n# a comment line\n"
+        for newline in ("\n", "\r\n", "\r"):
+            path = self.write(tmp_path, body, newline=newline)
+            assert read_edges_file(path) == [[2, 0, 1], [4, 3, 4], [1]]
+
+    def test_without_header_the_largest_id_is_n(self, tmp_path):
+        assert read_edges_file(self.write(tmp_path, "7 2\n1\n", header="")) == [[6, 1], [0]]
+        assert read_edges_file(self.write(tmp_path, "\n# nothing\n", header="")) == []
+
+    @pytest.mark.parametrize("line", ["2 x", "2 -3", "2,3", "2 3.0", "2 \u00e9"])
+    def test_non_digit_character(self, tmp_path, line):
+        path = self.write(tmp_path, f"1 2\n{line}\n3\n")
+        with pytest.raises(ValueError, match=r"x\.edges:4: expected node ids, got"):
+            read_edges_file(path)
+
+    def test_token_longer_than_n(self, tmp_path):
+        path = self.write(tmp_path, "1 2\n3\n4 05\n")
+        with pytest.raises(ValueError, match=r"x\.edges:5: node id 05 has more than 1 digits"):
+            read_edges_file(path)
+        # without a header the cap is what int64 holds
+        path = self.write(tmp_path, "1\n2 123456789012345678901234567890\n", header="")
+        with pytest.raises(ValueError, match=r"x\.edges:2: .* has more than 18 digits"):
+            read_edges_file(path)
+
+    @pytest.mark.parametrize("line, bad", [("0 1", 0), ("1 6", 6)])
+    def test_id_outside_one_to_n(self, tmp_path, line, bad):
+        path = self.write(tmp_path, f"1 2\n3\n{line}\n")
+        with pytest.raises(ValueError, match=rf"x\.edges:5: node id {bad} is outside 1\.\.5"):
+            read_edges_file(path)
+
+    @pytest.mark.parametrize("body, count", [("1 2\n3\n", 2), ("1\n2\n3\n\n4 5\n", 4)])
+    def test_header_edge_count_differs(self, tmp_path, body, count):
+        path = self.write(tmp_path, body)
+        with pytest.raises(ValueError, match=rf"x\.edges:2: header says edges=3, "
+                                             rf"but the file has {count} edge lines"):
+            read_edges_file(path)
+
+    def test_collector_state_is_restored(self, tmp_path):
+        good = self.write(tmp_path, "1 2\n3\n4 5\n")
+        bad = str(tmp_path / "bad.edges")
+        with open(bad, "w", encoding="utf-8") as handle:
+            handle.write(self.HEADER + "1 2\n3 9\n4\n")
+        was = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                if enabled:
+                    gc.enable()
+                else:
+                    gc.disable()
+                assert read_edges_file(good) == [[0, 1], [2], [3, 4]]
+                assert gc.isenabled() is enabled
+                with pytest.raises(ValueError):
+                    read_edges_file(bad)
+                assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()
 
 
 class TestReplicates:

@@ -104,6 +104,11 @@ class TestSmallRepairs:
         with pytest.raises(UnrepairableError):
             rewire(hg, np.random.default_rng(0))
 
+    def test_empty_edge_is_refused(self):
+        hg = Hypergraph.from_edge_lists(4, [[0, 1], [], [2, 2]])
+        with pytest.raises(ValueError, match="empty edge"):
+            rewire(hg, np.random.default_rng(0))
+
     def test_budget_exhaustion_reports_leftovers(self):
         # two nodes only: every re-split of {1,1} with {0,1} keeps a defect
         hg = Hypergraph.from_edge_lists(2, [[1, 1], [0, 1]])

@@ -28,6 +28,7 @@ class TestFromEdgeLists:
         assert np.array_equal(hg.offsets, offsets)
         assert np.array_equal(hg.members, members)
         assert (hg.origins == ORIGIN_BACKGROUND).all() and len(hg.origins) == len(edges)
+        assert hg.edge_lists() == [sorted(e) for e in edges]
 
     def test_shuffled_large_input(self):
         rng = np.random.default_rng(5)
