@@ -87,10 +87,11 @@ def precompute_feasibility(sizes: np.ndarray, params: GeneratorParams) -> Feasib
         k = len(counts)
         # core[j, ci] = sum_f w[f, d] * C(d - f, c - f) * frac_j**(c - f), via
         # shift[ci, t] = w[c - t, d] * C(d - c + t, t) so the sum becomes a product
+        row = w_norm.row(d)
         shift = np.zeros((k, k))
         for ci, c in enumerate(counts):
-            for t in range(c - lo + 1):
-                shift[ci, t] = w_norm[c - t, d] * math.comb(d - c + t, t)
+            for t in range(ci + 1):
+                shift[ci, t] = row[ci - t] * math.comb(d - c + t, t)
         powers = frac[:, None] ** np.arange(k)[None, :]
         core = powers @ shift.T
         tail = rest[:, None] ** (d - counts)[None, :]

@@ -30,10 +30,8 @@ from .config import (
 )
 from .errors import (
     HgbenchError,
-    InfeasibleError,
     InvalidParameters,
     UndefinedInputError,
-    UnrepairableError,
 )
 from .generation import generate
 from .metrics import ccdf_report, census
@@ -257,9 +255,14 @@ def write_edges_file(path: str, hg, seed: int) -> None:
     """One edge per line: member node ids, 1-based, ascending, space-separated.
 
     Edges come in runs of equal size, and each run is formatted with one
-    template of that run's shape.
+    template of that run's shape.  An empty edge would be a blank line, which
+    the reader skips, so the first one raises ValueError before the file is
+    opened.
     """
     sizes = hg.sizes()
+    empty = np.flatnonzero(sizes == 0)
+    if len(empty):
+        raise ValueError(f"edge {empty[0]} is empty; an edges file cannot hold an empty edge")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# hgbench {__version__} edges\n")
         handle.write(f"# nodes={hg.n} edges={hg.edge_count} seed={seed}\n")
@@ -569,9 +572,6 @@ def main(argv=None) -> int:
     except (_ValidationError, InvalidParameters) as exc:
         print(f"hgbench: error[validation]: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, UnrepairableError) as exc:
-        print(f"hgbench: error[generation]: {exc}", file=sys.stderr)
-        return 3
     except HgbenchError as exc:
         print(f"hgbench: error[generation]: {exc}", file=sys.stderr)
         return 3

@@ -45,20 +45,14 @@ class WeightMatrix:
         """Weights for size d, indexed c = lowest_majority_count(d) .. d."""
         return self.values[lowest_majority_count(d): d + 1, d]
 
-    def c_range(self, d: int) -> range:
-        return range(lowest_majority_count(d), d + 1)
-
-    def entry(self, c: int, d: int) -> float:
-        return float(self.values[c, d])
-
-    def normalized(self) -> np.ndarray:
-        """Copy of ``values`` with every admissible row rescaled to sum exactly 1."""
-        out = self.values.copy()
+    def normalized(self) -> "WeightMatrix":
+        """Copy with every admissible row rescaled to sum exactly 1."""
+        out = WeightMatrix(self.max_edge_size, self.values.copy())
         for d in range(1, self.max_edge_size + 1):
-            lo = lowest_majority_count(d)
-            total = out[lo: d + 1, d].sum()
+            row = out.row(d)
+            total = row.sum()
             if total > 0:
-                out[lo: d + 1, d] /= total
+                row /= total
         return out
 
     @classmethod

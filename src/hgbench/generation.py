@@ -124,58 +124,30 @@ def build_singletons(degrees: np.ndarray, params: GeneratorParams,
     return owners, degrees - spent
 
 
-class _EdgeBatch:
-    """Accumulates edge groups as (size, origin, member block) columns."""
-
-    def __init__(self):
-        self.sizes = []
-        self.origins = []
-        self.blocks = []
-
-    def add(self, size: int, origin: int, count: int, members: np.ndarray):
-        if count == 0:
-            return
-        self.sizes.append(np.full(count, size, dtype=np.int64))
-        self.origins.append(np.full(count, origin, dtype=np.int32))
-        self.blocks.append(members)
-
-    def merge(self, n: int) -> Hypergraph:
-        if self.sizes:
-            sizes = np.concatenate(self.sizes)
-            origins = np.concatenate(self.origins)
-            members = np.concatenate(self.blocks).astype(np.int32, copy=False)
-        else:
-            sizes = np.empty(0, dtype=np.int64)
-            origins = np.empty(0, dtype=np.int32)
-            members = np.empty(0, dtype=np.int32)
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return Hypergraph(n, offsets, members, origins)
-
-
 def build_community_edges(y: np.ndarray, z: np.ndarray,
                           assignment: CommunityAssignment,
                           params: GeneratorParams, rng: np.random.Generator):
-    """Community edges for every community; returns (groups, internal shares).
+    """Community edges for every community; returns (groups, members, internal shares).
 
     Mutates y and z in place: leftover slots that no edge size can absorb move
     from the community share to the background share, one at a time, node
     picked proportionally to its current community share.
 
-    Returns (group columns, y_int) where group columns is a dict of arrays
-    (community, size, majority count, edge count) in build order and y_int is
+    Groups are (size d, community, edge count) tuples in build order: per
+    community, sizes largest first and, within a size, majority counts c
+    largest first.  Each edge's first c slots come from its community's
+    shuffled internal pool and the rest from one shuffled external pool
+    shared by all communities, both consumed in build order.  Also returns
     the per-node internal slot count.
     """
     q = params.normalized_q()
     w_norm = params.w.normalized()
     max_d = params.max_edge_size
-    groups = assignment.groups()
-
-    g_comm, g_size, g_count, g_internal = [], [], [], []
+    rows, parts = [], []   # parts: (internal slots, external slots, edges) per group
     y_int = np.zeros(len(y), dtype=np.int64)
     pools = []
 
-    for j, nodes in enumerate(groups):
+    for j, nodes in enumerate(assignment.groups()):
         yj = y[nodes]
         pj = int(yj.sum())
         counts, leftover = allocate_edge_counts(pj, q, max_d)
@@ -191,16 +163,12 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
         for d in range(max_d, 1, -1):
             if counts[d] == 0:
                 continue
-            row = w_norm[lowest_majority_count(d): d + 1, d]
-            type_counts = allocate_type_counts(int(counts[d]), d, row, rng)
-            for c in range(d, lowest_majority_count(d) - 1, -1):
-                if type_counts[c] == 0:
-                    continue
-                g_comm.append(j)
-                g_size.append(d)
-                g_internal.append(c)
-                g_count.append(int(type_counts[c]))
-                internal_total += c * int(type_counts[c])
+            type_counts = allocate_type_counts(int(counts[d]), d, w_norm.row(d), rng)
+            for c in np.flatnonzero(type_counts)[::-1].tolist():
+                m = int(type_counts[c])
+                rows.append((d, j, m))
+                parts.append((c, d - c, m))
+                internal_total += c * m
 
         shares = distribute_internal(yj, internal_total, rng)
         y_int[nodes] = shares
@@ -208,71 +176,40 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
         rng.shuffle(pool)
         pools.append(pool)
 
-    columns = dict(
-        community=np.asarray(g_comm, dtype=np.int64),
-        size=np.asarray(g_size, dtype=np.int64),
-        internal=np.asarray(g_internal, dtype=np.int64),
-        count=np.asarray(g_count, dtype=np.int64),
-    )
-    return columns, y_int, pools
-
-
-def _assemble_community_edges(columns, pools, y, y_int, rng, batch: _EdgeBatch):
-    """Lay out community edges: internal slots from each community pool, the rest
-    from the shared external pool, both consumed in build order."""
-    sizes = np.repeat(columns["size"], columns["count"])
-    internal = np.repeat(columns["internal"], columns["count"])
-    if len(sizes) == 0:
-        return
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    pos = np.arange(offsets[-1], dtype=np.int64) - np.repeat(offsets[:-1], sizes)
-    internal_mask = pos < np.repeat(internal, sizes)
-
-    members = np.empty(offsets[-1], dtype=np.int32)
-    members[internal_mask] = np.concatenate(pools)
-    external = np.repeat(
-        np.arange(len(y), dtype=np.int32), y - y_int)
+    parts = np.asarray(parts, dtype=np.int64).reshape(-1, 3)
+    spans = np.repeat(parts[:, :2], parts[:, 2], axis=0)
+    internal = np.repeat(np.tile([True, False], len(spans)), spans.ravel())
+    members = np.empty(len(internal), dtype=np.int32)
+    members[internal] = np.concatenate(pools)
+    external = np.repeat(np.arange(len(y), dtype=np.int32), y - y_int)
     rng.shuffle(external)
-    members[~internal_mask] = external
-
-    start = 0
-    for g in range(len(columns["count"])):
-        cnt = int(columns["count"][g])
-        d = int(columns["size"][g])
-        block = members[start: start + cnt * d]
-        batch.add(d, int(columns["community"][g]), cnt, block)
-        start += cnt * d
+    members[~internal] = external
+    return rows, members, y_int
 
 
 def build_background_edges(z: np.ndarray, params: GeneratorParams,
                            singleton_owners: np.ndarray,
-                           rng: np.random.Generator, batch: _EdgeBatch):
-    """Background edges over the z pool; absorbs any leftover slots.
+                           rng: np.random.Generator):
+    """Background edges over the z pool; returns (groups, members).
 
-    Leftover points (fewer than the smallest active size R) either become
+    Groups are (size, origin, edge count) tuples, sizes largest first, and the
+    members are the shuffled pool, consumed in that order.  Leftover points
+    (fewer than the smallest active size R) at the pool's end either become
     extra singleton edges when q_1 > 0 (simple mode additionally requires the
     leftover points to sit on distinct nodes with no singleton yet) or are
     topped up to one extra size-R edge by bumping the background share of
-    R - r nodes drawn proportionally to z.  Mutates z for bumped nodes.
+    R - r nodes drawn proportionally to z, appended after the pool.  Mutates z
+    for bumped nodes.
     """
     q = params.normalized_q()
     n = len(z)
     pool = np.repeat(np.arange(n, dtype=np.int32), z)
     rng.shuffle(pool)
-    counts, leftover = allocate_edge_counts(len(pool), q, params.max_edge_size)
-
-    start = 0
-    for d in range(params.max_edge_size, 1, -1):
-        cnt = int(counts[d])
-        if cnt == 0:
-            continue
-        batch.add(d, ORIGIN_BACKGROUND, cnt, pool[start: start + cnt * d])
-        start += cnt * d
-
-    r = leftover
+    counts, r = allocate_edge_counts(len(pool), q, params.max_edge_size)
+    rows = [(d, ORIGIN_BACKGROUND, counts[d])
+            for d in range(params.max_edge_size, 1, -1) if counts[d]]
     if r == 0:
-        return
+        return rows, pool
     tail = pool[len(pool) - r:]
 
     smallest = next((d for d in range(2, params.max_edge_size + 1) if q[d - 1] > 0), None)
@@ -284,33 +221,29 @@ def build_background_edges(z: np.ndarray, params: GeneratorParams,
             has_singleton[singleton_owners] = True
             ok = len(np.unique(tail)) == r and not has_singleton[tail].any()
         if ok:
-            batch.add(1, ORIGIN_SINGLETON, r, tail.copy())
-            return
+            rows.append((1, ORIGIN_SINGLETON, r))
+            return rows, pool
 
     if smallest is None:
         raise InfeasibleError(
             f"{r} leftover background slots cannot form an edge: "
             "no edge size >= 2 has positive share")
 
+    # the r leftover slots sit on nodes with z > 0, so there is a candidate
     need = smallest - r
     candidates = np.nonzero(z > 0)[0]
-    chosen: list[int] = []
-    if need and len(candidates):
-        take = min(need, len(candidates))
-        with np.errstate(divide="ignore"):
-            keys = rng.exponential(size=len(candidates)) / z[candidates]
-        chosen = candidates[np.argpartition(keys, take - 1)[:take]].tolist()
+    take = min(need, len(candidates))
+    keys = rng.exponential(size=len(candidates)) / z[candidates]
+    chosen = candidates[np.argpartition(keys, take - 1)[:take]].tolist()
+    running = np.cumsum(z[candidates])
     while len(chosen) < need:
         # fewer weighted candidates than slots: allow repeats
-        running = np.cumsum(z[candidates]) if len(candidates) else None
-        if running is None or running[-1] == 0:
-            raise InfeasibleError("no background share available to absorb leftover slots")
         pick = int(np.searchsorted(running, rng.random() * running[-1], side="right"))
         chosen.append(int(candidates[pick]))
     for node in chosen:
         z[node] += 1
-    extra = np.concatenate([tail, np.asarray(chosen, dtype=np.int32)])
-    batch.add(smallest, ORIGIN_BACKGROUND, 1, extra.astype(np.int32))
+    rows.append((smallest, ORIGIN_BACKGROUND, 1))
+    return rows, np.concatenate([pool, np.asarray(chosen, dtype=np.int32)])
 
 
 def generate(params: GeneratorParams) -> GenerationResult:
@@ -327,54 +260,46 @@ def generate(params: GeneratorParams) -> GenerationResult:
     timings: dict[str, float] = {}
     warnings_list: list[str] = []
     rng = np.random.default_rng(params.seed)
-    t_start = time.perf_counter()
+    clock = [time.perf_counter()]
 
-    t0 = time.perf_counter()
+    def lap(phase: str) -> None:
+        """Record the seconds since the previous lap as ``phase``."""
+        clock.append(time.perf_counter())
+        timings[phase] = clock[-1] - clock[-2]
+
     sampled = sample_degrees(params, rng)
-    timings["degrees"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("degrees")
     sizes = sample_community_sizes(params, rng)
-    timings["community_sizes"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("community_sizes")
     singleton_owners, degrees = build_singletons(sampled, params, rng)
-    timings["singletons"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("singletons")
     y, z = split_degrees(degrees, params.xi, rng)
-    timings["split"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("split")
     consts = precompute_feasibility(sizes, params)
     assignment = assign_communities(y, z, sizes, consts, rng)
-    timings["assignment"] = time.perf_counter() - t0
+    lap("assignment")
+    community_groups, community_members, y_int = build_community_edges(
+        y, z, assignment, params, rng)
+    lap("community_edges")
+    background_groups, background_members = build_background_edges(
+        z, params, singleton_owners, rng)
+    lap("background_edges")
 
-    batch = _EdgeBatch()
-    batch.add(1, ORIGIN_SINGLETON, len(singleton_owners), singleton_owners.copy())
+    groups = np.array([(1, ORIGIN_SINGLETON, len(singleton_owners))]
+                      + community_groups + background_groups, dtype=np.int64)
+    hg = Hypergraph.from_sizes(
+        params.n, np.repeat(groups[:, 0], groups[:, 2]),
+        np.concatenate([singleton_owners, community_members, background_members]),
+        np.repeat(groups[:, 1].astype(np.int32), groups[:, 2]))
+    lap("assembly")
 
-    t0 = time.perf_counter()
-    columns, y_int, pools = build_community_edges(y, z, assignment, params, rng)
-    _assemble_community_edges(columns, pools, y, y_int, rng, batch)
-    timings["community_edges"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    build_background_edges(z, params, singleton_owners, rng, batch)
-    timings["background_edges"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    hg = batch.merge(params.n)
-    hg.sort_members()
-    timings["assembly"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     if params.simple:
         exhausted = rewire(hg, rng)
         if exhausted:
             warnings_list.append(
                 f"rewiring budget exhausted with {exhausted} defective edges left")
-    timings["rewiring"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_start
+    lap("rewiring")
+    timings["total"] = clock[-1] - clock[0]
 
     profiles = DegreeProfiles(
         sampled_degree=sampled,

@@ -192,8 +192,7 @@ def _classify(hg: Hypergraph):
     return classes, bad
 
 
-def rewire(hg: Hypergraph, rng: np.random.Generator, *,
-           budget_per_bad: int = BUDGET_PER_BAD) -> int:
+def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     """Repair the hypergraph in place; returns how many defective edges remain.
 
     Defective edges are processed in a queue; each attempt merges the front
@@ -204,7 +203,7 @@ def rewire(hg: Hypergraph, rng: np.random.Generator, *,
     edges as they were and re-queue the defective one.  After ``WIDEN_AFTER``
     rejections of one edge its partner comes from the background, and after
     twice that many from all intact edges.  The loop runs at most
-    ``budget_per_bad`` times the initial queue length; a nonzero return means
+    ``BUDGET_PER_BAD`` times the initial queue length; a nonzero return means
     the budget ran out.  Member slots within each edge stay sorted throughout.
 
     Raises UnrepairableError when no intact edge is available to merge with,
@@ -216,7 +215,7 @@ def rewire(hg: Hypergraph, rng: np.random.Generator, *,
         return 0
     pools = _OriginPools(hg.origins, bad_mask)
     rejections: dict[int, int] = {}
-    budget = budget_per_bad * len(bad)
+    budget = BUDGET_PER_BAD * len(bad)
     offsets = hg.offsets
     members = hg.members
 

@@ -32,10 +32,8 @@ class PowerLawTable:
     cdf: np.ndarray
     mean: float
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """One draw (int) or ``size`` draws (int64 array)."""
-        if size is None:
-            return self.lo + int(np.searchsorted(self.cdf, rng.random(), side="right"))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws as an int64 array."""
         idx = np.searchsorted(self.cdf, rng.random(size), side="right")
         return (self.lo + idx).astype(np.int64)
 

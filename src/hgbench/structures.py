@@ -11,6 +11,9 @@ import numpy as np
 ORIGIN_BACKGROUND = -1
 ORIGIN_SINGLETON = -2
 
+# Average run of equal-size edges from which sort_members sorts run by run.
+SORT_RUN_MIN = 16
+
 
 def size_runs(offsets: np.ndarray) -> list[int]:
     """Bounds of the runs of consecutive equal-size edges: run j holds edges
@@ -68,10 +71,6 @@ class Hypergraph:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def edge(self, i: int) -> np.ndarray:
-        """View of edge i's member slots."""
-        return self.members[self.offsets[i]: self.offsets[i + 1]]
-
     def degrees(self) -> np.ndarray:
         """Per-node incidence count; repeated slots count with multiplicity."""
         return np.bincount(self.members, minlength=self.n)
@@ -91,26 +90,42 @@ class Hypergraph:
             yield d, self.offsets[:-1][sizes == d] + np.arange(d, dtype=np.int64)[:, None]
 
     def sort_members(self) -> None:
-        """Sort member slots ascending within every edge, in place."""
-        for d, slots in self.size_classes():
-            if d > 1:
+        """Sort member slots ascending within every edge, in place.
+
+        Generated edges come in long runs of equal size, and each run is
+        sorted in place as one 2-D view.  When runs are short (fewer than
+        SORT_RUN_MIN edges on average), edges are gathered per size class.
+        """
+        runs = size_runs(self.offsets)
+        if len(runs) * SORT_RUN_MIN > self.edge_count:
+            for d, slots in self.size_classes():
                 self.members[slots] = np.sort(self.members[slots], axis=0)
+            return
+        offsets = self.offsets
+        for e0, e1 in itertools.pairwise(runs):
+            d = offsets[e0 + 1] - offsets[e0]
+            self.members[offsets[e0]: offsets[e1]].reshape(e1 - e0, d).sort(axis=1)
 
     @classmethod
-    def from_edge_lists(cls, n: int, edges, origins=None) -> "Hypergraph":
-        """Hypergraph from member-id lists given in any order; stored sorted."""
-        sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-        offsets = np.zeros(len(edges) + 1, dtype=np.int64)
+    def from_sizes(cls, n: int, sizes: np.ndarray, members: np.ndarray,
+                   origins: np.ndarray) -> "Hypergraph":
+        """Hypergraph from edge sizes, their member slots laid end to end in
+        edge order, and one origin per edge; members are sorted within each
+        edge."""
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,
-                              count=offsets[-1])
-        if origins is None:
-            origins_arr = np.full(len(edges), ORIGIN_BACKGROUND, dtype=np.int32)
-        else:
-            origins_arr = np.asarray(origins, dtype=np.int32)
-        hg = cls(n, offsets, members, origins_arr)
+        hg = cls(n, offsets, np.asarray(members, dtype=np.int32),
+                 np.asarray(origins, dtype=np.int32))
         hg.sort_members()
         return hg
+
+    @classmethod
+    def from_edge_lists(cls, n: int, edges) -> "Hypergraph":
+        """Background edges from member-id lists in any order; stored sorted."""
+        sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+        members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,
+                              count=int(sizes.sum()))
+        return cls.from_sizes(n, sizes, members, np.full(len(edges), ORIGIN_BACKGROUND))
 
 
 @dataclass
@@ -135,9 +150,6 @@ class DegreeProfiles:
     community_degree: np.ndarray
     background_degree: np.ndarray
     internal_degree: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.sampled_degree)
 
 
 @dataclass

@@ -33,7 +33,7 @@ def oracle_constants(n, cj, q, w, max_edge_size):
         lo = d // 2 + 1
         for c in range(lo, d + 1):
             a = sum(
-                q[d - 1] * w.entry(f, d) * math.comb(d - f, c - f)
+                q[d - 1] * w.values[f, d] * math.comb(d - f, c - f)
                 * b ** (c - f) * (1 - b) ** (d - c)
                 for f in range(lo, c + 1)
             )
@@ -112,7 +112,7 @@ def test_pair_size_two_constants_frozen():
 def test_pair_size_three_mixed_weights_frozen():
     p = params_for(100, 3, (0.0, 0.0, 1.0))
     w = p.w  # majority on size 3 gives 0.5 / 0.5
-    assert w.entry(2, 3) == 0.5 and w.entry(3, 3) == 0.5
+    assert w.values[2, 3] == 0.5 and w.values[3, 3] == 0.5
     consts = precompute_feasibility(np.array([50]), p)
     col = {(c, d): t for t, (c, d) in enumerate(zip(consts.pair_c, consts.pair_d))}
     t = col[(2, 3)]

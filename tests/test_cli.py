@@ -15,6 +15,7 @@ from hgbench.cli import (
     merge_settings,
     read_assignment_file,
     read_edges_file,
+    write_edges_file,
     write_report_file,
 )
 from hgbench.config import build_weight_matrix, default_params
@@ -119,8 +120,8 @@ class TestWeightFile:
             "3 2 0.25\n"
             "3 3 0.75\n")
         w = load_weight_file(str(wfile), 3)
-        assert w.entry(2, 3) == 0.25
-        assert w.entry(3, 3) == 0.75
+        assert w.values[2, 3] == 0.25
+        assert w.values[3, 3] == 0.75
 
     def test_cli_accepts_weight_file(self, tmp_path):
         wfile = tmp_path / "w.txt"
@@ -163,6 +164,13 @@ class TestOutputs:
         edges = generate(params).hypergraph.edge_lists()
         assert any(len(set(e)) < len(e) for e in edges)
         assert read_edges_file(f"{out}.edges") == edges
+
+    def test_empty_edge_is_refused_before_writing(self, tmp_path):
+        hg = Hypergraph.from_edge_lists(4, [[0, 1], [], [2, 3], []])
+        path = tmp_path / "empty.edges"
+        with pytest.raises(ValueError, match=r"^edge 1 is empty"):
+            write_edges_file(str(path), hg, seed=0)
+        assert not path.exists()
 
     def test_edges_are_one_based_sorted(self, tmp_path):
         out = tmp_path / "fmt"
@@ -265,6 +273,13 @@ class TestGoldenDigests:
             {".edges": "808743023788256d9d83e84bb29e2122dc0d9e71617ca5d78aa159966fc292c2",
              ".assign": "ce156b76eeec1fe91fc6505ba747725b526906236c4edee3a03f607a63a18254",
              ".report.txt": "2a18cbe069f3216d8176f43a0c3f6cddbf783b42053b75471dac377a773cc9cc"}),
+        # q_1 > 0: singleton edges, and the background leftover becomes one
+        # more singleton instead of a bumped size-2 edge
+        "singletons-multi": (
+            ["--n", "2000", "--seed", "2", "--q", "0.2,0.2,0.2,0.2,0.2", "--no-simple"],
+            {".edges": "6348a049e939ce1ceccc10dff9ec3b96ab1c74273c96905aec1ad246b9a9cf92",
+             ".assign": "a0679ee450a584b1ff30a5261daa37f4766bda16594c6ebd725cffa21f3e0282",
+             ".report.txt": "1933befbcaff02a9f66246f8bb74dbb5eb8468c265653c099a042891c1e5cc6c"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -78,7 +78,7 @@ def test_from_entries_rejects_outside_triangle():
         WeightMatrix.from_entries(4, {(2, 4): 1.0})  # c=2 is not a strict majority of 4
     wm = WeightMatrix.from_entries(4, {(3, 4): 0.5, (4, 4): 0.5, (2, 2): 1.0,
                                        (2, 3): 0.5, (3, 3): 0.5, (1, 1): 1.0})
-    assert wm.entry(3, 4) == 0.5
+    assert wm.values[3, 4] == 0.5
 
 
 def test_default_params_pass_validation():
@@ -158,10 +158,9 @@ def test_weight_matrix_row_sum_off_rejected():
 
 def test_normalized_rows_sum_exactly_one():
     wm = build_weight_matrix("linear", 12)
-    vals = wm.normalized()
+    norm = wm.normalized()
     for d in range(1, 13):
-        lo = lowest_majority_count(d)
-        assert vals[lo: d + 1, d].sum() == pytest.approx(1.0, abs=1e-15)
+        assert norm.row(d).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,26 +184,26 @@ class TestModularityWeights:
     def test_majority_values_every_majority_type_fully(self):
         u = modularity_weights("majority", 5)
         for d in range(2, 6):
-            for c in u.c_range(d):
-                assert u.entry(c, d) == 1.0
+            for c in range(lowest_majority_count(d), d + 1):
+                assert u.values[c, d] == 1.0
 
     def test_linear_values_scale_with_homogeneity(self):
         u = modularity_weights("linear", 6)
         for d in range(2, 7):
-            for c in u.c_range(d):
-                assert u.entry(c, d) == pytest.approx(c / d)
-            assert u.entry(d, d) == 1.0
+            for c in range(lowest_majority_count(d), d + 1):
+                assert u.values[c, d] == pytest.approx(c / d)
+            assert u.values[d, d] == 1.0
 
     def test_strict_values_only_fully_homogeneous(self):
         u = modularity_weights("strict", 5)
         for d in range(2, 6):
-            for c in u.c_range(d):
-                assert u.entry(c, d) == (1.0 if c == d else 0.0)
+            for c in range(lowest_majority_count(d), d + 1):
+                assert u.values[c, d] == (1.0 if c == d else 0.0)
 
     def test_outside_triangle_is_zero(self):
         u = modularity_weights("majority", 5)
-        assert u.entry(2, 5) == 0.0
-        assert u.entry(1, 3) == 0.0
+        assert u.values[2, 5] == 0.0
+        assert u.values[1, 3] == 0.0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidParameters):

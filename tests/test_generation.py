@@ -9,6 +9,7 @@ from hgbench.errors import InfeasibleError
 from hgbench.generation import (
     allocate_edge_counts,
     allocate_type_counts,
+    build_background_edges,
     build_singletons,
     distribute_internal,
     generate,
@@ -205,6 +206,18 @@ class TestBuildSingletons:
         assert len(owners) == p.n
 
 
+class TestBuildBackgroundEdges:
+    def test_leftover_topped_up_from_too_few_nodes(self):
+        # one slot on node 1, smallest size 5: node 1 once, then 3 repeat draws
+        p = small_params(q=(0.0, 0.0, 0.0, 0.0, 1.0))
+        z = np.array([0, 1, 0, 0], dtype=np.int64)
+        rows, members = build_background_edges(z, p, np.empty(0, np.int32),
+                                               np.random.default_rng(0))
+        assert rows == [(5, ORIGIN_BACKGROUND, 1)]
+        assert members.tolist() == [1] * 5
+        assert z.tolist() == [0, 5, 0, 0]
+
+
 def incidence_identity(result):
     prof = result.profiles
     expected = (prof.community_degree + prof.background_degree
@@ -226,19 +239,16 @@ class TestGenerate:
     def test_members_sorted_within_edges(self):
         res = generate(small_params(seed=11))
         hg = res.hypergraph
-        for i in range(hg.edge_count):
-            e = hg.edge(i)
-            assert (np.diff(e) >= 0).all()
+        for e in hg.edge_lists():
+            assert e == sorted(e)
 
     def test_community_edges_have_slot_majority(self):
         res = generate(small_params(seed=13))
         hg = res.hypergraph
         member_of = res.assignment.member_of
-        for i in range(hg.edge_count):
-            j = hg.origins[i]
+        for j, e in zip(hg.origins, hg.edge_lists()):
             if j < 0:
                 continue
-            e = hg.edge(i)
             inside = int((member_of[e] == j).sum())
             assert inside > len(e) / 2
 
@@ -277,8 +287,7 @@ class TestGenerate:
         res = generate(small_params(simple=True, seed=31))
         hg = res.hypergraph
         seen = set()
-        for i in range(hg.edge_count):
-            e = tuple(hg.edge(i))
+        for e in map(tuple, hg.edge_lists()):
             assert len(set(e)) == len(e)
             assert e not in seen
             seen.add(e)

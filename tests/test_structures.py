@@ -30,6 +30,19 @@ class TestFromEdgeLists:
         assert (hg.origins == ORIGIN_BACKGROUND).all() and len(hg.origins) == len(edges)
         assert hg.edge_lists() == [sorted(e) for e in edges]
 
+    @given(runs=st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                                   st.integers(min_value=1, max_value=40)), max_size=6),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_of_equal_size_edges(self, runs, seed):
+        # long runs are sorted run by run, short ones per size class
+        rng = np.random.default_rng(seed)
+        edges = [rng.integers(0, 10, size=d).tolist() for d, count in runs for _ in range(count)]
+        hg = Hypergraph.from_edge_lists(10, edges)
+        offsets, members = per_edge_sorted(10, edges)
+        assert np.array_equal(hg.offsets, offsets)
+        assert np.array_equal(hg.members, members)
+
     def test_shuffled_large_input(self):
         rng = np.random.default_rng(5)
         edges = [rng.permutation(rng.choice(1000, size=int(d), replace=False)).tolist()
