@@ -11,9 +11,6 @@ import numpy as np
 ORIGIN_BACKGROUND = -1
 ORIGIN_SINGLETON = -2
 
-# Average run of equal-size edges from which sort_members sorts run by run.
-SORT_RUN_MIN = 16
-
 
 def size_runs(offsets: np.ndarray) -> list[int]:
     """Bounds of the runs of consecutive equal-size edges: run j holds edges
@@ -92,17 +89,12 @@ class Hypergraph:
     def sort_members(self) -> None:
         """Sort member slots ascending within every edge, in place.
 
-        Generated edges come in long runs of equal size, and each run is
-        sorted in place as one 2-D view.  When runs are short (fewer than
-        SORT_RUN_MIN edges on average), edges are gathered per size class.
+        Each run of equal-size edges is sorted in place as one 2-D view, so
+        the cost is one step per run: generated edges come in a few long
+        runs, edge lists whose sizes alternate take one step per edge.
         """
-        runs = size_runs(self.offsets)
-        if len(runs) * SORT_RUN_MIN > self.edge_count:
-            for d, slots in self.size_classes():
-                self.members[slots] = np.sort(self.members[slots], axis=0)
-            return
         offsets = self.offsets
-        for e0, e1 in itertools.pairwise(runs):
+        for e0, e1 in itertools.pairwise(size_runs(offsets)):
             d = offsets[e0 + 1] - offsets[e0]
             self.members[offsets[e0]: offsets[e1]].reshape(e1 - e0, d).sort(axis=1)
 
@@ -111,7 +103,12 @@ class Hypergraph:
                    origins: np.ndarray) -> "Hypergraph":
         """Hypergraph from edge sizes, their member slots laid end to end in
         edge order, and one origin per edge; members are sorted within each
-        edge."""
+        edge.
+
+        The hypergraph takes ownership of ``members`` and ``origins`` when
+        they are already int32: it keeps them without a copy and sorts
+        ``members`` in place.  Pass copies to keep the originals.
+        """
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         hg = cls(n, offsets, np.asarray(members, dtype=np.int32),

@@ -35,7 +35,7 @@ class TestFromEdgeLists:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_runs_of_equal_size_edges(self, runs, seed):
-        # long runs are sorted run by run, short ones per size class
+        # each run of equal-size edges is sorted as one block
         rng = np.random.default_rng(seed)
         edges = [rng.integers(0, 10, size=d).tolist() for d, count in runs for _ in range(count)]
         hg = Hypergraph.from_edge_lists(10, edges)
@@ -51,6 +51,17 @@ class TestFromEdgeLists:
         offsets, members = per_edge_sorted(1000, edges)
         assert np.array_equal(hg.offsets, offsets)
         assert np.array_equal(hg.members, members)
+
+    def test_from_sizes_takes_int32_arrays(self):
+        # int32 input is kept without a copy and sorted in place, as documented
+        sizes = np.array([3, 2, 2])
+        members = np.array([2, 0, 1, 3, 1, 0, 2], dtype=np.int32)
+        origins = np.array([0, ORIGIN_BACKGROUND, 1], dtype=np.int32)
+        hg = Hypergraph.from_sizes(4, sizes, members, origins)
+        assert hg.offsets.tolist() == [0, 3, 5, 7]
+        assert hg.edge_lists() == [[0, 1, 2], [1, 3], [0, 2]]
+        assert hg.members is members and hg.origins is origins
+        assert members.tolist() == [0, 1, 2, 1, 3, 0, 2]
 
     def test_no_edges(self):
         hg = Hypergraph.from_edge_lists(4, [])
