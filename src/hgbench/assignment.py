@@ -126,13 +126,6 @@ def precompute_feasibility(sizes: np.ndarray, params: GeneratorParams) -> Feasib
     )
 
 
-def is_admissible(y: int, z: int, j: int, consts: FeasibilityConstants) -> bool:
-    """Direct evaluation of the admissibility bound for one node split and community."""
-    lhs = y * consts.slope_y[j] + z * consts.slope_z[j]
-    with np.errstate(divide="ignore"):
-        return bool(np.all(np.log(lhs) <= consts.log_cap[j]))
-
-
 def admissibility_table(y_vals: np.ndarray, z_vals: np.ndarray,
                         consts: FeasibilityConstants) -> np.ndarray:
     """Boolean (splits, communities) table; row u is the verdict for (y_vals[u], z_vals[u]).
@@ -171,24 +164,23 @@ def assign_communities(y: np.ndarray, z: np.ndarray, sizes: np.ndarray,
     """
     n = len(y)
     x = y + z
-    order = np.lexsort((-y, -x))
-
-    key = y.astype(np.int64) * (int(x.max()) + 1 if n else 1) + z
-    uniq, inverse = np.unique(key, return_inverse=True)
-    u_y = uniq // (int(x.max()) + 1 if n else 1)
-    u_z = uniq % (int(x.max()) + 1 if n else 1)
-    adm = admissibility_table(u_y, u_z, consts)
+    # one stable sort by (x, y) descending; each run of equal keys is one split
+    key = x.astype(np.int64) * (int(y.max()) + 1 if n else 1) + y
+    order = np.argsort(-key, kind="stable")
+    starts = np.diff(key[order], prepend=-1) != 0
+    split = np.cumsum(starts) - 1     # split index of each node, in processing order
+    firsts = order[starts]
+    adm = admissibility_table(y[firsts], z[firsts], consts)
 
     all_ok = adm.all(axis=1)
-    proc_ok = all_ok[inverse[order]]
-    blocked = np.nonzero(~proc_ok)[0]
+    blocked = np.nonzero(~all_ok[split])[0]
     cut = int(blocked[-1]) + 1 if len(blocked) else 0
 
     spots = np.asarray(sizes, dtype=np.int64).copy()
     member_of = np.full(n, -1, dtype=np.int32)
 
-    for node in order[:cut]:
-        row = adm[inverse[node]]
+    for node, s in zip(order[:cut], split[:cut]):
+        row = adm[s]
         running = np.cumsum(spots)
         total = running[-1]
         placed = -1

@@ -18,14 +18,17 @@ from .structures import CommunityAssignment, Hypergraph
 
 
 def _normalize_partition(labels, n: int):
-    """Contiguous 0-based part labels plus the part count."""
-    arr = np.asarray(labels)
-    if isinstance(labels, CommunityAssignment):
-        arr = labels.member_of
+    """Contiguous 0-based part labels in sorted label order, plus the part count."""
+    arr = labels.member_of if isinstance(labels, CommunityAssignment) else np.asarray(labels)
     if arr.shape != (n,):
         raise ValueError(f"partition must label all {n} nodes, got shape {arr.shape}")
-    uniq, parts = np.unique(arr, return_inverse=True)
     # node ids are int32, so the part ids of n nodes fit too
+    if arr.dtype.kind in "iu" and n and int(arr.max()) - int(arr.min()) < 2 * n:
+        # ranked without a sort; the shift may wrap in a narrow dtype, its unsigned view cannot
+        shifted = (arr - arr.min()).view(f"u{arr.itemsize}").astype(np.intp)
+        rank = np.cumsum(np.bincount(shifted) > 0, dtype=np.int32)
+        return rank[shifted] - 1, int(rank[-1])
+    uniq, parts = np.unique(arr, return_inverse=True)
     return parts.astype(np.int32), len(uniq)
 
 
@@ -85,7 +88,7 @@ class Census:
     counts[d, 0] those without a strict majority."""
 
     hg: Hypergraph
-    slot_parts: np.ndarray     # part of every member slot
+    parts: np.ndarray          # part of every node
     slot_volume: np.ndarray    # member slots per part
     counts: np.ndarray
 
@@ -140,7 +143,7 @@ class Census:
             distinct = first.sum(axis=0)
             total += int((distinct * (distinct - 1) // 2).sum())
             # a repeated slot gets a label no part has, so it pairs with nothing
-            labels = np.where(first, self.slot_parts[slots], -1 - np.arange(d)[:, None])
+            labels = np.where(first, self.parts[nodes], -1 - np.arange(d)[:, None])
             i, j = np.triu_indices(d, 1)
             internal += int(np.count_nonzero(labels[i] == labels[j]))
             gain = np.broadcast_to(distinct - 1, labels.shape)[first]
@@ -159,19 +162,21 @@ def census(hg: Hypergraph, partition) -> Census:
     counting the candidate's slots settles it, with no sort.
     """
     parts, k = _normalize_partition(partition, hg.n)
-    slot_parts = parts[hg.members]
     top = int(hg.sizes().max(initial=0))
     counts = np.zeros((top + 1, top + 1), dtype=np.int64)
+    volume = np.zeros(k, dtype=np.int64)
     for d, slots in hg.size_classes():
-        labels = slot_parts[slots]
+        labels = parts[hg.members[slots]]
         cand = labels[0].copy()
-        votes = np.ones(len(cand), dtype=np.int64)
+        # the narrowest signed counter that holds -d - 1 .. d
+        votes = np.ones(len(cand), dtype=np.min_scalar_type(-d - 1))
         for row in labels[1:]:
             np.copyto(cand, row, where=votes == 0)
-            votes += np.where(row == cand, 1, -1)
-        hits = (labels == cand).sum(axis=0)
-        counts[d, : d + 1] = np.bincount(np.where(2 * hits > d, hits, 0), minlength=d + 1)
-    return Census(hg, slot_parts, np.bincount(slot_parts, minlength=k), counts)
+            votes += (row == cand).view(np.int8) * 2 - 1
+        hits = (labels == cand).sum(axis=0, dtype=votes.dtype)
+        counts[d, : d + 1] = np.bincount(np.where(hits > d // 2, hits, 0), minlength=d + 1)
+        volume += np.bincount(labels.ravel(), minlength=k)
+    return Census(hg, parts, volume, counts)
 
 
 def hypergraph_modularity(hg: Hypergraph, partition, u: WeightMatrix) -> float:
@@ -213,8 +218,7 @@ class StatsReport:
 
 def _tail_fraction(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Fraction of entries >= k for k = lo .. hi."""
-    top = max(hi, int(values.max()) if len(values) else hi)
-    hist = np.bincount(values, minlength=top + 1)
+    hist = np.bincount(values, minlength=hi + 1)
     tail = np.cumsum(hist[::-1])[::-1]
     return tail[lo: hi + 1] / max(len(values), 1)
 
@@ -223,20 +227,16 @@ def ccdf_report(hg: Hypergraph, truth: CommunityAssignment,
                 params: GeneratorParams) -> StatsReport:
     """Empirical degree / community-size CCDFs with their model curves, plus
     per-size volume shares."""
-    degrees = hg.degrees()
     deg_table = truncated_power_law(params.gamma, params.min_degree, params.max_degree)
     size_table = truncated_power_law(params.beta, params.min_size, params.max_size)
-    sizes = hg.sizes()
-    by_size = np.bincount(sizes, minlength=params.max_edge_size + 1)
-    slot_volume = np.bincount(sizes, weights=sizes.astype(np.float64),
-                              minlength=params.max_edge_size + 1)
-    share = slot_volume / max(hg.volume, 1)
+    by_size = np.bincount(hg.sizes(), minlength=params.max_edge_size + 1)
+    share = by_size * np.arange(len(by_size)) / max(hg.volume, 1)
     return StatsReport(
         node_count=hg.n,
         edge_count=hg.edge_count,
         community_count=len(truth.sizes),
         degree_k=np.arange(params.min_degree, params.max_degree + 1),
-        degree_ccdf=_tail_fraction(degrees, params.min_degree, params.max_degree),
+        degree_ccdf=_tail_fraction(hg.degrees(), params.min_degree, params.max_degree),
         degree_ccdf_model=deg_table.ccdf(),
         community_size_k=np.arange(params.min_size, params.max_size + 1),
         community_size_ccdf=_tail_fraction(truth.sizes, params.min_size, params.max_size),

@@ -55,6 +55,8 @@ class Hypergraph:
     offsets: np.ndarray   # int64, length edge_count + 1, offsets[0] == 0
     members: np.ndarray   # int32, length offsets[-1]
     origins: np.ndarray   # int32 per edge
+    # (offsets it was built from, size classes); see size_classes
+    _layout: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def edge_count(self) -> int:
@@ -75,16 +77,24 @@ class Hypergraph:
     def edge_lists(self) -> list[list[int]]:
         return member_lists(self.members, self.offsets)
 
-    def size_classes(self):
+    def size_classes(self) -> list[tuple[int, np.ndarray]]:
         """(d, slots) for every nonempty edge size d present, ascending.
 
         slots[j, i] indexes into ``members`` the j-th slot of the i-th
         size-d edge, so ``members[slots]`` holds one slot position per row.
+        The layout depends on ``offsets`` alone, so it is built once and kept
+        (int32 while the slots fit) until ``offsets`` is replaced; it holds
+        nothing of ``members``, which the repair permutes in place.  Every
+        caller gets the same blocks, so none may write to them.
         """
-        sizes = self.sizes()
-        for d in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-            d = int(d)
-            yield d, self.offsets[:-1][sizes == d] + np.arange(d, dtype=np.int64)[:, None]
+        if self._layout is None or self._layout[0] is not self.offsets:
+            sizes = self.sizes()
+            dtype = np.int32 if self.volume <= np.iinfo(np.int32).max else np.int64
+            starts = self.offsets[:-1].astype(dtype)
+            classes = [(int(d), starts[sizes == d] + np.arange(d, dtype=dtype)[:, None])
+                       for d in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
+            self._layout = (self.offsets, classes)
+        return self._layout[1]
 
     def sort_members(self) -> None:
         """Sort member slots ascending within every edge, in place.

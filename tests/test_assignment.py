@@ -11,7 +11,6 @@ from hgbench.assignment import (
     FAST_PATH_TRIES,
     admissibility_table,
     assign_communities,
-    is_admissible,
     log_binomial,
     precompute_feasibility,
     split_degrees,
@@ -22,6 +21,13 @@ from hgbench.sampling import sample_community_sizes, sample_degrees
 
 
 # ---------------------------------------------------------------- oracles
+
+def is_admissible(y, z, j, consts):
+    """Direct evaluation of the admissibility bound for one node split and community."""
+    lhs = y * consts.slope_y[j] + z * consts.slope_z[j]
+    with np.errstate(divide="ignore"):
+        return bool(np.all(np.log(lhs) <= consts.log_cap[j]))
+
 
 def oracle_constants(n, cj, q, w, max_edge_size):
     """Brute-force (slope_y, slope_z, cap) per (c, d) with exact integer caps."""

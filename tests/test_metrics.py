@@ -13,8 +13,10 @@ from hgbench.config import (
     modularity_weights,
 )
 from hgbench.errors import UndefinedInputError
+from hgbench import metrics
 from hgbench.generation import generate
 from hgbench.metrics import (
+    _normalize_partition,
     ccdf_report,
     census,
     graph_modularity,
@@ -22,6 +24,7 @@ from hgbench.metrics import (
     two_section,
     type_histogram,
 )
+from hgbench.rewiring import rewire
 from hgbench.structures import Hypergraph
 
 
@@ -138,6 +141,55 @@ class TestCensusEquivalence:
         for name in WEIGHT_MODELS:
             u = modularity_weights(name, 5)
             assert cen.hypergraph_modularity(u) == reference_hypergraph_modularity(hg, labels, u)
+
+
+    def test_layout_cached_before_rewire_scores_like_a_fresh_copy(self):
+        # the repair permutes members in place; the cached layout must not go stale
+        hg = generate(default_params(2000, seed=4, simple=False)).hypergraph
+        labels = np.random.default_rng(4).integers(0, 40, size=hg.n)
+        census(hg, labels)
+        before = hg.members.copy()
+        assert rewire(hg, np.random.default_rng(4)) == 0
+        assert not np.array_equal(hg.members, before)
+        fresh = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
+        got, want = census(hg, labels), census(fresh, labels)
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.slot_volume, want.slot_volume)
+        assert got.pairwise_modularity() == want.pairwise_modularity()
+        got, want = two_section(hg), two_section(fresh)
+        for name in ("pair_u", "pair_v", "weight", "degree"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def label_cases(n):
+    """(labels, takes the dense path) for n nodes, named; the dense path needs
+    integer labels spanning fewer than 2n values."""
+    rng = np.random.default_rng(8)
+
+    def span(lo, hi, dtype=np.int64):
+        labels = rng.integers(lo, hi, size=n, endpoint=True).astype(dtype)
+        labels[:2] = np.array([lo, hi]).astype(dtype)
+        return labels
+
+    yield pytest.param(span(-n, n // 2), True, id="negative")
+    yield pytest.param(span(-100, 100, np.int8), True, id="int8 spanning more than int8 holds")
+    yield pytest.param(np.uint64(2**63) + span(0, n, np.uint64), True, id="uint64 above 2**63")
+    yield pytest.param(span(5, 5 + 2 * n - 1), True, id="span just under the cut-off")
+    yield pytest.param(span(5, 5 + 2 * n), False, id="span at the cut-off")
+    yield pytest.param(rng.choice([-2**62, -1, 0, 2**62], size=n), False, id="plus-minus 2**62")
+    yield pytest.param(span(-n, n) / 4.0, False, id="float")
+
+
+@pytest.mark.parametrize("labels, dense", list(label_cases(120)))
+def test_normalize_partition_dense_path_equals_unique(monkeypatch, labels, dense):
+    uniq, inverse = np.unique(labels, return_inverse=True)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(metrics.np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    parts, k = _normalize_partition(labels, len(labels))
+    assert parts.dtype == np.int32
+    assert parts.tolist() == inverse.tolist() and k == len(uniq)
+    assert bool(calls) != dense
 
 
 class TestTwoSection:
