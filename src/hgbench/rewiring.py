@@ -1,25 +1,24 @@
 """Repair pass turning the raw hypergraph into a simple one.
 
 Generation fills member slots independently, so an edge can hit the same node
-twice and two edges of one size can coincide.  The repair loop merges each
+twice and two edges of one size can coincide.  The repair merges each
 defective edge with an intact partner, reshuffles the union of their slots,
 and keeps the re-split only when it strictly lowers the total defect score.
+It works in rounds of array operations over all queued defective edges at
+once, each with its own distinct partner (see ``rewire``).
 
 The partner comes from the defective edge's own origin: its community, or the
 background.  Slots then move only between edges built for one community, so a
-repair does not carry the nodes of one community into another's edges.
-Only after repeated rejections does the draw widen, first to background edges
-and then to all edges, because a small community cannot always absorb a
-repeated node.  ABCD (Kamiński, Prałat & Théberge 2021) repairs the same way:
-inside each community graph first, then in the background.
+repair does not carry the nodes of one community into another's edges.  Only
+after repeated rejections does the draw widen, first to background edges and
+then to all edges, because a small community cannot always absorb a repeated
+node.  ABCD (Kamiński, Prałat & Théberge 2021) repairs the same way: as a
+batch inside each community graph first, then in the background.
 
 Everything operates in place on the member array: edge sizes, and therefore
 offsets, never change, and per-node incidence counts are preserved exactly.
 """
 from __future__ import annotations
-
-import struct
-from collections import deque
 
 import numpy as np
 
@@ -29,245 +28,243 @@ from .structures import ORIGIN_BACKGROUND, ORIGIN_SINGLETON, Hypergraph
 BUDGET_PER_BAD = 100
 WIDEN_AFTER = 8  # rejections of one defective edge before its partner draw widens
 
-_MULT = 0x9E3779B97F4A7C15
-_WRAP = 1 << 64
+SENTINEL = np.iinfo(np.int32).max  # fills the cells of a padded row past the edge's size
+_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _hash_rows(rows: np.ndarray) -> np.ndarray:
-    """Rolling hash of each row of a 2-D int array: uint64 arithmetic, read as int64."""
-    mult = np.uint64(_MULT)
+    """Rolling hash of each row of a 2-D int array, skipping ``SENTINEL``
+    cells: uint64 arithmetic, read as int64.  A padded row hashes like the
+    bare row of its edge.  The last multiply carries the last cell into the
+    high bits, which ``_pack`` keeps."""
     acc = np.zeros(len(rows), dtype=np.uint64)
-    for col in range(rows.shape[1]):
-        acc = acc * mult + rows[:, col].astype(np.uint64) + np.uint64(1)
+    for col in rows.T:
+        live = col != SENTINEL
+        cell = col.astype(np.uint64)
+        cell += np.uint64(1)
+        np.multiply(acc, _MULT, out=acc, where=live)
+        np.add(acc, cell, out=acc, where=live)
+    acc *= _MULT
     return acc.view(np.int64)
 
 
-def _hash_row(row) -> int:
-    """``_hash_rows`` of a single row, in Python integers."""
-    acc = 0
-    for x in row:
-        acc = (acc * _MULT + int(x) + 1) % _WRAP
-    return acc - _WRAP if acc >= _WRAP >> 1 else acc
+def _pack(high: np.ndarray, low, bits: int) -> np.ndarray:
+    """Replace the low ``bits`` of int64 ``high`` by ``low``, in place."""
+    high >>= bits
+    high <<= bits
+    high |= low
+    return high
 
 
-def _sorted_distinct(rows: np.ndarray, hashes: np.ndarray, order: np.ndarray):
-    """Collapse each run of equal rows in ``order`` to the row's first position.
-
-    Returns those positions and whether two different rows were left next to
-    each other with equal hashes, in which case equal rows may sit apart.
-    """
-    h, r = hashes[order], rows[order]
-    same_hash = h[1:] == h[:-1]
-    later = np.zeros(len(order), dtype=bool)
-    later[1:] = same_hash & (r[1:] == r[:-1]).all(axis=1)
-    starts = np.flatnonzero(~later)
-    first = np.minimum.reduceat(order, starts) if len(order) else order
-    return first, bool(same_hash.sum() > later.sum())
+def _rows(hg: Hypergraph, edges: np.ndarray, width: int) -> np.ndarray:
+    """Member rows of ``edges`` as an int32 (len(edges), width) block,
+    padded with ``SENTINEL``; sorted rows stay sorted."""
+    start = hg.offsets[edges]
+    cols = np.arange(width)
+    live = cols < (hg.offsets[edges + 1] - start)[:, None]
+    return np.where(live, hg.members[np.where(live, start[:, None] + cols, 0)], SENTINEL)
 
 
-class SizeClassIndex:
-    """Exact membership over the intact edges of one size class.
-
-    A snapshot of the distinct rows, sorted by hash, answers lookups by binary
-    search; every hash hit is checked against the row itself, so a collision
-    costs a comparison, never a wrong answer.  Rows added or removed later
-    are tallied by their int32 bytes in ``delta``.  ``kept`` holds the
-    positions, among the rows given, of the first copy of each distinct row.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        rows = np.ascontiguousarray(rows, dtype=np.int32)
-        hashes = _hash_rows(rows)
-        self.kept, collided = _sorted_distinct(rows, hashes, np.argsort(hashes))
-        if collided:
-            # equal rows may sit apart inside a run of equal hashes
-            self.kept, _ = _sorted_distinct(
-                rows, hashes, np.lexsort((*rows.T[::-1], hashes)))
-        self.hashes = hashes[self.kept]
-        self.rows = rows[self.kept]
-        self.pack = struct.Struct(f"{rows.shape[1]}i").pack
-        self.delta: dict[bytes, int] = {}
-
-    def contains(self, row) -> bool:
-        key = self.pack(*row)
-        count = self.delta.get(key, 0)
-        h = _hash_row(row)
-        pos = int(self.hashes.searchsorted(h))
-        while pos < len(self.hashes) and self.hashes.item(pos) == h:
-            if self.rows[pos].tobytes() == key:
-                count += 1
-                break
-            pos += 1
-        return count > 0
-
-    def shift(self, key: bytes, step: int) -> None:
-        """Add (+1) or remove (-1) one occurrence of a row, by its bytes."""
-        self.delta[key] = self.delta.get(key, 0) + step
+def _later_copies(rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """True for each row that repeats an earlier row, earlier meaning lower
+    ``rank`` and then lower position; the first copy of a row stays False."""
+    order = np.lexsort((rank, *rows.T[::-1]))
+    later = np.zeros(len(rows), dtype=bool)
+    later[order[1:]] = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    return later
 
 
-class _OriginPools:
-    """Intact edge ids grouped by origin; uniform sampling with removal.
-
-    Group k holds the edges of origin ``k + ORIGIN_SINGLETON`` (singletons,
-    background, then one group per community) in
-    ``ids[start[k]: start[k] + live[k]]``.  Each group's slice has room for
-    all of its edges, so putting an edge back never overflows.
+class RowTable:
+    """Which edges may hold a row: sorted int64 keys, each a row hash with
+    its low ``bits`` replaced by an edge id.  Every repeat-free row of the
+    hypergraph when the table was built has a key, and so has every row
+    written since (``add``, a small second table).  A key is only a lead:
+    each hash hit is checked against that edge's current row, so a stale key
+    or a hash collision costs a comparison, never a wrong answer.
     """
 
-    BACKGROUND = ORIGIN_BACKGROUND - ORIGIN_SINGLETON
+    def __init__(self, hg: Hypergraph, keys: np.ndarray, bits: int):
+        self.hg, self.bits = hg, bits
+        self.tables = [keys, keys[:0]]
 
-    def __init__(self, origins: np.ndarray, bad: np.ndarray):
-        self.group = origins.astype(np.int64) - ORIGIN_SINGLETON
-        self.ids = np.lexsort((bad, self.group))
-        counts = np.bincount(self.group, minlength=self.BACKGROUND + 1)
-        self.start = (np.cumsum(counts) - counts).tolist()
-        self.live = np.bincount(self.group[~bad], minlength=len(counts)).tolist()
-        self.total = sum(self.live)
+    def add(self, rows: np.ndarray, edges: np.ndarray) -> None:
+        self.tables[1] = np.sort(np.concatenate([self.tables[1], _pack(_hash_rows(rows), edges, self.bits)]))
 
-    def pick_out(self, rng: np.random.Generator, edge: int, level: int) -> int:
-        """Remove and return a partner for ``edge``: from its own group at
-        level 0, from the background at level 1, from all groups above that;
-        an empty group passes the draw on to the next level."""
-        u = rng.random()
-        own = int(self.group[edge])
-        if level == 0 and self.live[own]:
-            k, size = own, self.live[own]
-        elif level <= 1 and self.live[self.BACKGROUND]:
-            k, size = self.BACKGROUND, self.live[self.BACKGROUND]
-        elif self.total:
-            k, size = None, self.total
-        else:
-            raise UnrepairableError(
-                "no intact edge left to merge with while defective edges remain")
-        pos = min(int(u * size), size - 1)
-        if k is None:
-            for k, size in enumerate(self.live):
-                if pos < size:
-                    break
-                pos -= size
-        self.live[k] -= 1
-        self.total -= 1
-        last = self.start[k] + self.live[k]
-        pos += self.start[k]
-        val = int(self.ids[pos])
-        self.ids[pos] = self.ids[last]
-        return val
-
-    def put(self, edge: int) -> None:
-        k = int(self.group[edge])
-        self.ids[self.start[k] + self.live[k]] = edge
-        self.live[k] += 1
-        self.total += 1
+    def held(self, rows: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """True for each row that an edge other than its owner holds now."""
+        found = np.zeros(len(rows), dtype=bool)
+        wanted = _pack(_hash_rows(rows), 0, self.bits)
+        order = np.argsort(wanted)   # sorted queries search the table faster
+        wanted = wanted[order]
+        mask = (1 << self.bits) - 1
+        for keys in self.tables:
+            lo = keys.searchsorted(wanted)
+            hits = keys.searchsorted(wanted | mask, "right") - lo
+            query = order[np.repeat(np.arange(len(rows)), hits)]
+            pos = np.arange(len(query)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)
+            cand = keys[pos] & mask
+            same = (_rows(self.hg, cand, rows.shape[1]) == rows[query]).all(axis=1)
+            found[query[same & (cand != owners[query])]] = True
+        return found
 
 
-def indisposition(row, index: SizeClassIndex) -> int:
-    """Defect score: repeated slots plus a collision with an intact edge.
-
-    ``row`` must be sorted.  An intact pool never holds rows with repeats, so
-    the collision term can only fire when the repeat count is zero.
-    """
-    dup = len(row) - len(set(row))
-    if dup:
-        return dup
-    return 1 if index.contains(row) else 0
+def indisposition(rows: np.ndarray, owners: np.ndarray, table: RowTable) -> np.ndarray:
+    """Defect score of each sorted padded row: its repeated slots, or 1 when
+    it has none and an edge other than its owner holds the same row."""
+    score = ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] != SENTINEL)).sum(axis=1)
+    clean = np.flatnonzero(score == 0)
+    score[clean] = table.held(rows[clean], owners[clean])
+    return score
 
 
 def _classify(hg: Hypergraph):
-    """Flag defective edges and build per-size membership indexes of the intact ones.
+    """Flag defective edges and index the rows of the repeat-free ones.
 
-    An edge is defective when it repeats a node or equals an earlier edge of
-    its size; the first of several equal edges stays intact.  Generation
-    makes no empty edge, and the repair cannot change one, so one is refused.
+    An edge is defective when it repeats a node or equals an earlier edge;
+    the first of several equal edges stays intact.  Rows are compared only
+    inside runs of equal hashes, sorted there by the rows themselves, so a
+    hash collision cannot split or merge copies.  Generation makes no empty
+    edge, and the repair cannot change one, so one is refused.
     """
     if not hg.sizes().all():
         raise ValueError("cannot repair a hypergraph with an empty edge")
-    classes: dict[int, SizeClassIndex] = {}
-    bad = np.ones(hg.edge_count, dtype=bool)
+    bad = np.empty(hg.edge_count, dtype=bool)
+    hashes = np.empty(hg.edge_count, dtype=np.int64)
     for d, slots in hg.size_classes():
-        cols = hg.members[slots]   # column i: the i-th size-d edge, sorted
-        idx = np.searchsorted(hg.offsets, slots[0])   # offsets strictly increase
-        keep = np.flatnonzero((cols[1:] != cols[:-1]).all(axis=0))
-        classes[d] = SizeClassIndex(cols[:, keep].T)
-        bad[idx[keep[classes[d].kept]]] = False
-    return classes, bad
+        edges = np.flatnonzero(hg.sizes() == d)
+        block = hg.members[slots]   # column i: the i-th size-d edge, sorted
+        bad[edges] = (block[1:] == block[:-1]).any(axis=0)
+        hashes[edges] = _hash_rows(block.T)
+    bits = max(1, (hg.edge_count - 1).bit_length())
+    keys = _pack(hashes, np.arange(hg.edge_count, dtype=np.int32), bits)[~bad]
+    del hashes
+    keys.sort()
+    tie = np.flatnonzero(((keys[1:] ^ keys[:-1]) >> bits) == 0)
+    if len(tie):
+        runs = keys[np.union1d(tie, tie + 1)] & ((1 << bits) - 1)
+        bad[runs[_later_copies(_rows(hg, runs, d), runs)]] = True   # d: the widest size
+    return bad, RowTable(hg, keys, bits)
+
+
+def _split(rows_b: np.ndarray, rows_g: np.ndarray, rng: np.random.Generator):
+    """Shuffle each union of a row pair and re-split it into the old sizes:
+    random keys, with the padding keyed last, and one ``argsort`` shuffle
+    every union; its first cells go to b and the rest to g.  Both new blocks
+    come back padded and sorted per row."""
+    union = np.concatenate([rows_b, rows_g], axis=1)
+    keys = rng.random(union.shape)
+    keys[union == SENTINEL] = 2.0
+    mixed = np.take_along_axis(union, np.argsort(keys, axis=1, kind="stable"), axis=1)
+    width = rows_b.shape[1]
+    cols = np.arange(width)
+    size_b = (rows_b != SENTINEL).sum(axis=1)
+    size_g = (rows_g != SENTINEL).sum(axis=1)
+    new_b = np.where(cols < size_b[:, None], mixed[:, :width], SENTINEL)
+    moved = np.take_along_axis(mixed, np.minimum(size_b[:, None] + cols, 2 * width - 1), axis=1)
+    new_g = np.where(cols < size_g[:, None], moved, SENTINEL)
+    new_b.sort(axis=1)
+    new_g.sort(axis=1)
+    return new_b, new_g
 
 
 def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     """Repair the hypergraph in place; returns how many defective edges remain.
 
-    Defective edges are processed in a queue; each attempt merges the front
-    defective edge with an intact partner of the same origin (its community,
-    or the background), shuffles the union of their member slots, re-splits
-    into the original two sizes, and accepts only if the two results score
-    strictly below the defective edge alone.  Rejected attempts leave both
-    edges as they were and re-queue the defective one.  After ``WIDEN_AFTER``
-    rejections of one edge its partner comes from the background, and after
-    twice that many from all intact edges.  The loop runs at most
-    ``BUDGET_PER_BAD`` times the initial queue length; a nonzero return means
-    the budget ran out.  Member slots within each edge stay sorted throughout.
+    Works in rounds over the queue of defective edges.  Each round:
+
+    1. re-scores the queue; an edge whose defect has vanished (its duplicate
+       counterpart changed) turns intact and draws no partner;
+    2. draws one partner per queued edge from every edge of its origin, from
+       the background after ``WIDEN_AFTER`` rejections, and from all edges
+       after twice that many; an origin with no intact edge left passes the
+       draw on.  A draw that lands on a queued edge, or on a partner taken
+       earlier in the round, waits for the next round;
+    3. shuffles the union of each pair's member slots and re-splits it into
+       the two old sizes;
+    4. accepts a proposal only if its two rows score strictly below the
+       defective edge alone, and no earlier accepted proposal of the round
+       writes an equal row.  Rows that change in the round still count as
+       present, which can only reject a proposal, never pass a bad one.
+
+    A rejected edge has its rejection count raised and stays queued; a
+    partner left defective joins the queue.  The rounds stop when the queue is
+    empty or when the draws made reach ``BUDGET_PER_BAD`` times the initial
+    queue length; a nonzero return means the budget ran out.  Member slots
+    within each edge stay sorted throughout.
 
     Raises UnrepairableError when no intact edge is available to merge with,
     and ValueError when an edge is empty.
     """
-    classes, bad_mask = _classify(hg)
-    bad = deque(np.flatnonzero(bad_mask).tolist())
-    if not bad:
+    bad, table = _classify(hg)
+    queue = np.flatnonzero(bad)
+    if not len(queue):
         return 0
-    pools = _OriginPools(hg.origins, bad_mask)
-    rejections: dict[int, int] = {}
-    budget = BUDGET_PER_BAD * len(bad)
-    offsets = hg.offsets
-    members = hg.members
+    width = hg.size_classes()[-1][0]
+    groups = hg.origins - ORIGIN_SINGLETON   # singletons, background, then communities
+    # edge ids ordered by group, then id: one sort of unique packed keys
+    by_group = groups.astype(np.int64)
+    by_group <<= table.bits
+    by_group |= np.arange(hg.edge_count, dtype=np.int32)
+    by_group.sort()
+    by_group &= (1 << table.bits) - 1
+    by_group = by_group.astype(np.int32)
+    total = np.bincount(groups)
+    first = np.cumsum(total) - total
 
-    steps = 0
-    while bad and steps < budget:
-        steps += 1
-        b = bad.popleft()
-        b0, b1 = int(offsets[b]), int(offsets[b + 1])
-        row_b = members[b0:b1].tolist()
-        bcls = classes[b1 - b0]
-        ib = indisposition(row_b, bcls)
-        if ib == 0:
-            # a former duplicate whose counterpart has since changed
-            bcls.shift(bcls.pack(*row_b), +1)
-            pools.put(b)
-            rejections.pop(b, None)
-            continue
-        g = pools.pick_out(rng, b, rejections.get(b, 0) // WIDEN_AFTER)
-        g0, g1 = int(offsets[g]), int(offsets[g + 1])
-        row_g = members[g0:g1].tolist()
-        gcls = classes[g1 - g0]
-        key_g = gcls.pack(*row_g)
-        gcls.shift(key_g, -1)
+    def tally(edges):
+        return np.bincount(groups[edges], minlength=len(total))
+    intact = ~bad
+    live = tally(intact)
+    background = ORIGIN_BACKGROUND - ORIGIN_SINGLETON
+    rejections = np.zeros(len(queue), dtype=np.int64)
+    budget, draws = BUDGET_PER_BAD * len(queue), 0
 
-        merged = row_b + row_g
-        rng.shuffle(merged)
-        new_b = sorted(merged[: b1 - b0])
-        new_g = sorted(merged[b1 - b0:])
-        i1 = indisposition(new_b, bcls)
-        if i1 == 0:
-            key_b = bcls.pack(*new_b)
-            bcls.shift(key_b, +1)
-        i2 = indisposition(new_g, gcls)
+    while len(queue) and draws < budget:
+        rows = _rows(hg, queue, width)
+        score = indisposition(rows, queue, table)
+        stale = score == 0   # a former duplicate whose counterpart has changed
+        intact[queue[stale]] = True
+        live += tally(queue[stale])
+        queue, rejections, rows, score = (a[~stale] for a in (queue, rejections, rows, score))
+        if not len(queue):
+            break
+        if not live.sum():
+            raise UnrepairableError(
+                "no intact edge left to merge with while defective edges remain")
+        draws += len(queue)
 
-        if i1 + i2 < ib:
-            members[b0:b1] = new_b
-            members[g0:g1] = new_g
-            if i2 == 0:
-                gcls.shift(gcls.pack(*new_g), +1)
-                pools.put(g)
-            else:
-                bad.append(g)
-            if i1 == 0:
-                pools.put(b)
-                rejections.pop(b, None)
-            else:
-                bad.append(b)
-        else:
-            if i1 == 0:
-                bcls.shift(key_b, -1)
-            gcls.shift(key_g, +1)
-            pools.put(g)
-            rejections[b] = rejections.get(b, 0) + 1
-            bad.append(b)
-    return len(bad)
+        level = rejections // WIDEN_AFTER
+        own = groups[queue]
+        pick = np.where((level == 0) & (live[own] > 0), own,
+                        np.where((level <= 1) & (live[background] > 0), background, -1))
+        lo = np.where(pick >= 0, first[pick], 0)
+        span = np.where(pick >= 0, total[pick], hg.edge_count)
+        slot = lo + np.minimum((rng.random(len(queue)) * span).astype(np.int64), span - 1)
+        partner = by_group[slot].astype(np.int64)
+        pairs = np.flatnonzero(intact[partner])
+        pairs = pairs[~_later_copies(partner[pairs, None], pairs)]
+
+        b, g = queue[pairs], partner[pairs]
+        new_b, new_g = _split(rows[pairs], _rows(hg, g, width), rng)
+        new_score = indisposition(np.concatenate([new_b, new_g]), np.concatenate([b, g]), table)
+        i1, i2 = new_score[:len(b)], new_score[len(b):]
+        accept = np.flatnonzero(i1 + i2 < score[pairs])
+        rank = np.tile(accept, 2)
+        twice = _later_copies(np.concatenate([new_b[accept], new_g[accept]]), rank)
+        accept = np.setdiff1d(accept, rank[twice])
+
+        edges = np.concatenate([b[accept], g[accept]])
+        written = np.concatenate([new_b[accept], new_g[accept]])
+        filled = written != SENTINEL
+        hg.members[(hg.offsets[edges][:, None] + np.arange(width))[filled]] = written[filled]
+        table.add(written, edges)
+
+        spoilt = g[accept[i2[accept] > 0]]
+        mended = pairs[accept[i1[accept] == 0]]
+        intact[spoilt] = False
+        intact[queue[mended]] = True
+        live += tally(queue[mended]) - tally(spoilt)
+        rejections[np.delete(pairs, accept)] += 1
+        queue = np.concatenate([np.delete(queue, mended), spoilt])
+        rejections = np.concatenate([np.delete(rejections, mended), np.zeros(len(spoilt), dtype=np.int64)])
+    return len(queue)

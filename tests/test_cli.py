@@ -265,21 +265,21 @@ class TestGoldenDigests:
     CASES = {
         "majority-simple": (
             ["--n", "2000", "--seed", "7", "--w-model", "majority"],
-            {".edges": "790276b540aea97c4b411877b3fad164235de8b7262dcf60123e4e47f7c86a90",
-             ".assign": "ce156b76eeec1fe91fc6505ba747725b526906236c4edee3a03f607a63a18254",
-             ".report.txt": "4f6b8cd5aa43450f35c88513570a781ebce51efd07a855afb8b436d8440dccf3"}),
+            {".edges": "0d5a86f5d50678b4ed930a366565b9d6213d332de739b1ddc22ebe96e135fbb9",
+             ".assign": "9653e1ff2a251e71d7e6359c9668fa8829103d78be26a174a9f4d30df7c66bb0",
+             ".report.txt": "b19538a477ab6b40c5208d51c2e2a44c7741e5e3e21e22b1c8708f5f1f797038"}),
         "strict-multi": (
             ["--n", "2000", "--seed", "7", "--w-model", "strict", "--no-simple"],
-            {".edges": "808743023788256d9d83e84bb29e2122dc0d9e71617ca5d78aa159966fc292c2",
-             ".assign": "ce156b76eeec1fe91fc6505ba747725b526906236c4edee3a03f607a63a18254",
-             ".report.txt": "2a18cbe069f3216d8176f43a0c3f6cddbf783b42053b75471dac377a773cc9cc"}),
+            {".edges": "31bd788f5af944c6778d7cf0a435b1320aa9c471b2743f764dc25c79756bd678",
+             ".assign": "9653e1ff2a251e71d7e6359c9668fa8829103d78be26a174a9f4d30df7c66bb0",
+             ".report.txt": "f45490abf90e6fc4e25598b6ad3184edf7bd6b48cab19ae81d31c135542ad305"}),
         # q_1 > 0: singleton edges, and the background leftover becomes one
         # more singleton instead of a bumped size-2 edge
         "singletons-multi": (
             ["--n", "2000", "--seed", "2", "--q", "0.2,0.2,0.2,0.2,0.2", "--no-simple"],
-            {".edges": "6348a049e939ce1ceccc10dff9ec3b96ab1c74273c96905aec1ad246b9a9cf92",
-             ".assign": "a0679ee450a584b1ff30a5261daa37f4766bda16594c6ebd725cffa21f3e0282",
-             ".report.txt": "1933befbcaff02a9f66246f8bb74dbb5eb8468c265653c099a042891c1e5cc6c"}),
+            {".edges": "d9a6eea1bc3c5d946661b05b26887822c903ba6c3edc47e52f9e98e56b237526",
+             ".assign": "dadb14e0087954748f7169ebcda90b7b340bb25b126e102a6b2cee22805dff0e",
+             ".report.txt": "0e776bde64943adf05b383ff498e25ee0bcc08ffafbe360e1599fcacaadd3b10"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -290,6 +290,15 @@ class TestGoldenDigests:
         for ext, digest in digests.items():
             with open(f"{out}{ext}", "rb") as handle:
                 assert hashlib.sha256(handle.read()).hexdigest() == digest, ext
+
+
+def test_pyproject_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")
+    import hgbench
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == hgbench.__version__
 
 
 class TestAssignmentReader:

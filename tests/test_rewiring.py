@@ -8,18 +8,25 @@ from hgbench.config import default_params
 from hgbench.errors import UnrepairableError
 from hgbench.generation import generate
 from hgbench import rewiring
-from hgbench.rewiring import SizeClassIndex, indisposition, rewire
+from hgbench.rewiring import SENTINEL, indisposition, rewire
 from hgbench.structures import Hypergraph
 
 
-def make_index(rows):
-    return SizeClassIndex(np.asarray(rows, dtype=np.int32).reshape(len(rows), -1))
+def make_table(edges, n=10):
+    hg = Hypergraph.from_edge_lists(n, edges)
+    return hg, rewiring._classify(hg)[1]
+
+
+def score(hg, table, row, owner=-1):
+    """Score of one sorted row, padded to the hypergraph's widest edge."""
+    padded = np.full((1, int(hg.sizes().max())), SENTINEL, dtype=np.int32)
+    padded[0, :len(row)] = row
+    return int(indisposition(padded, np.array([owner]), table)[0])
 
 
 def flatten_hashes(monkeypatch):
     """Make every row hash to 0, so every lookup runs into collisions."""
     monkeypatch.setattr(rewiring, "_hash_rows", lambda rows: np.zeros(len(rows), dtype=np.int64))
-    monkeypatch.setattr(rewiring, "_hash_row", lambda row: 0)
 
 
 def classify_output(hg):
@@ -38,35 +45,36 @@ def classify_output(hg):
 
 class TestIndisposition:
     def test_clean_and_absent(self):
-        idx = make_index([[1, 2, 3]])
-        assert indisposition(np.array([2, 3, 4], dtype=np.int32), idx) == 0
+        hg, table = make_table([[1, 2, 3]])
+        assert score(hg, table, [2, 3, 4]) == 0
 
     def test_present_in_good(self):
-        idx = make_index([[1, 2, 3]])
-        assert indisposition(np.array([1, 2, 3], dtype=np.int32), idx) == 1
+        hg, table = make_table([[1, 2, 3]])
+        assert score(hg, table, [1, 2, 3]) == 1
+        assert score(hg, table, [1, 2, 3], owner=0) == 0
 
     def test_one_repeated_slot(self):
-        idx = make_index([[5, 6, 7]])
-        assert indisposition(np.array([1, 1, 2], dtype=np.int32), idx) == 1
+        hg, table = make_table([[5, 6, 7]])
+        assert score(hg, table, [1, 1, 2]) == 1
 
     def test_two_repeated_slots(self):
-        idx = make_index([[5, 6, 7]])
-        assert indisposition(np.array([1, 1, 1], dtype=np.int32), idx) == 2
+        hg, table = make_table([[5, 6, 7]])
+        assert score(hg, table, [1, 1, 1]) == 2
 
     def test_delta_overlay(self):
-        idx = make_index([[1, 2, 3]])
-        row = np.array([1, 2, 3], dtype=np.int32)
-        idx.shift(row.tobytes(), -1)
-        assert indisposition(row, idx) == 0
-        other = np.array([4, 5, 6], dtype=np.int32)
-        idx.shift(other.tobytes(), +1)
-        assert indisposition(other, idx) == 1
+        hg, table = make_table([[1, 2, 3], [7, 8, 9]])
+        hg.members[:3] = [4, 5, 6]   # edge 0 no longer holds [1, 2, 3]
+        assert score(hg, table, [1, 2, 3]) == 0
+        assert score(hg, table, [4, 5, 6]) == 0   # written but not yet added
+        table.add(np.array([[4, 5, 6]], dtype=np.int32), np.array([0]))
+        assert score(hg, table, [4, 5, 6]) == 1
+        assert score(hg, table, [7, 8, 9]) == 1
 
     def test_collision_requires_verification(self, monkeypatch):
         flatten_hashes(monkeypatch)
-        idx = SizeClassIndex(np.array([[1, 2], [3, 4]], dtype=np.int32))
-        assert indisposition(np.array([1, 2], dtype=np.int32), idx) == 1
-        assert indisposition(np.array([1, 4], dtype=np.int32), idx) == 0
+        hg, table = make_table([[1, 2], [3, 4]])
+        assert score(hg, table, [1, 2]) == 1
+        assert score(hg, table, [1, 4]) == 0
 
 
 class TestSmallRepairs:
@@ -129,6 +137,31 @@ class TestSmallRepairs:
             before = [hg.edge_lists()[i] for i in outside]
             assert rewire(hg, np.random.default_rng(seed)) == 0
             assert [hg.edge_lists()[i] for i in outside] == before
+            assert classify_output(hg) == (False, False)
+
+    def test_rejections_widen_to_background_before_all_edges(self):
+        # no re-split of {1,1} with {0,1} inside community 0 can succeed, so
+        # the draw must widen; the background edge comes before community 1
+        edges = [[1, 1], [0, 1], [2, 3], [4, 5], [6, 7]]
+        origins = [0, 0, -1, 1, 1]
+        for seed in range(25):
+            hg = Hypergraph.from_edge_lists(8, edges)
+            hg.origins[:] = origins
+            assert rewire(hg, np.random.default_rng(seed)) == 0
+            assert classify_output(hg) == (False, False)
+            assert hg.edge_lists()[3:] == [[4, 5], [6, 7]]
+
+    def test_one_round_never_writes_two_equal_rows(self):
+        # five queued copies of {0,1,2} draw overlapping partners in one
+        # round, so two accepted proposals could write the same new row
+        edges = [[0, 1, 2]] * 6 + [[3, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6],
+                                   [3, 7, 8], [4, 7, 8], [5, 7, 8], [6, 7, 8]]
+        for seed in range(25):
+            hg = Hypergraph.from_edge_lists(9, edges)
+            hg.origins[:] = 0
+            before = hg.degrees().copy()
+            assert rewire(hg, np.random.default_rng(seed)) == 0
+            assert (hg.degrees() == before).all()
             assert classify_output(hg) == (False, False)
 
     def test_stale_defect_promoted_after_counterpart_changes(self):
@@ -195,6 +228,20 @@ def multigraphs(draw):
     return n, edges
 
 
+@st.composite
+def crowded_multigraphs(draw):
+    """Few nodes and many repeated edges, each with an origin: most edges
+    start defective and the draws often land on queued edges."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    shapes = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)
+    base = draw(st.lists(shapes, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(base) - 1),
+                          min_size=2, max_size=16))
+    origins = draw(st.lists(st.integers(min_value=-1, max_value=1),
+                            min_size=len(picks), max_size=len(picks)))
+    return n, [base[i] for i in picks], origins
+
+
 class TestRandomizedProperty:
     @given(case=multigraphs(), seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=250, deadline=None)
@@ -212,3 +259,22 @@ class TestRandomizedProperty:
         if left == 0:
             dup_slot, dup_edge = classify_output(hg)
             assert not dup_slot and not dup_edge
+
+    @given(case=crowded_multigraphs(), seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=250, deadline=None)
+    def test_crowded_repairs_keep_invariants(self, case, seed):
+        n, edges, origins = case
+        hg = Hypergraph.from_edge_lists(n, edges)
+        hg.origins[:] = origins
+        deg = hg.degrees().copy()
+        sizes = hg.sizes().copy()
+        try:
+            left = rewire(hg, np.random.default_rng(seed))
+        except UnrepairableError:
+            return
+        assert (hg.degrees() == deg).all()
+        assert (hg.sizes() == sizes).all()
+        assert (hg.origins == origins).all()
+        assert all(e == sorted(e) for e in hg.edge_lists())
+        if left == 0:
+            assert classify_output(hg) == (False, False)
