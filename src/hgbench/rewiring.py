@@ -88,7 +88,8 @@ class RowTable:
         self.tables = [keys, keys[:0]]
 
     def add(self, rows: np.ndarray, edges: np.ndarray) -> None:
-        self.tables[1] = np.sort(np.concatenate([self.tables[1], _pack(_hash_rows(rows), edges, self.bits)]))
+        keys = _pack(_hash_rows(rows), edges, self.bits)
+        self.tables[1] = np.sort(np.concatenate([self.tables[1], keys]))
 
     def held(self, rows: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """True for each row that an edge other than its owner holds now."""
@@ -213,6 +214,7 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
 
     def tally(edges):
         return np.bincount(groups[edges], minlength=len(total))
+
     intact = ~bad
     live = tally(intact)
     background = ORIGIN_BACKGROUND - ORIGIN_SINGLETON
@@ -266,5 +268,5 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
         live += tally(queue[mended]) - tally(spoilt)
         rejections[np.delete(pairs, accept)] += 1
         queue = np.concatenate([np.delete(queue, mended), spoilt])
-        rejections = np.concatenate([np.delete(rejections, mended), np.zeros(len(spoilt), dtype=np.int64)])
+        rejections = np.concatenate([np.delete(rejections, mended), np.zeros_like(spoilt)])
     return len(queue)
