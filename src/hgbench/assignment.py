@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import GeneratorParams, lowest_majority_count
 from .errors import InfeasibleError
@@ -34,14 +33,34 @@ def split_degrees(degrees: np.ndarray, xi: float, rng: np.random.Generator):
     return y, z
 
 
+# log(i!) from math.lgamma for i below the table size; above it, Stirling's
+# series, whose first omitted term, 1 / (1188 y**9), is below 2e-17 there.
+_LOG_FACTORIAL = np.array([math.lgamma(i + 1) for i in range(32)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial(x: np.ndarray) -> np.ndarray:
+    """log(x!) elementwise for integer-valued float x; 0 where x < 0."""
+    size = len(_LOG_FACTORIAL)
+    y = np.maximum(x, size) + 1.0
+    r = 1.0 / (y * y)
+    series = ((y - 0.5) * np.log(y) - y + _HALF_LOG_2PI
+              + (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / y)
+    return np.where(x < size, _LOG_FACTORIAL[np.clip(x, 0, size - 1).astype(np.intp)], series)
+
+
 def log_binomial(m, k):
-    """log of (m choose k), elementwise; -inf outside 0 <= k <= m."""
+    """log of (m choose k), elementwise and broadcasting; -inf outside 0 <= k <= m.
+
+    m and k must be integer-valued, as every caller's sizes and counts are; a
+    fractional argument gives a meaningless result.  Each factorial is taken
+    at its own operand's shape: a (C, 1) by (1, K) call makes C + K + C * K
+    evaluations, not 3 * C * K.
+    """
     m = np.asarray(m, dtype=float)
     k = np.asarray(k, dtype=float)
-    bad = (k < 0) | (k > m)
-    kk = np.where(bad, 0.0, k)
-    out = gammaln(m + 1) - gammaln(kk + 1) - gammaln(m - kk + 1)
-    return np.where(bad, -np.inf, out)
+    out = _log_factorial(m) - _log_factorial(k) - _log_factorial(m - k)
+    return np.where((k < 0) | (k > m), -np.inf, out)
 
 
 @dataclass
@@ -77,7 +96,8 @@ def precompute_feasibility(sizes: np.ndarray, params: GeneratorParams) -> Feasib
     frac = cj / n
     rest = (n - cj) / n
 
-    cols_d, cols_c, a_cols, b_cols, cap_cols = [], [], [], [], []
+    empty = np.zeros((len(cj), 0))  # keeps the concatenations valid with no columns
+    cols_d, cols_c, a_cols, b_cols = [], [], [empty], [empty]
     for d in range(2, params.max_edge_size + 1):
         qd = q[d - 1]
         if qd == 0.0:
@@ -102,28 +122,15 @@ def precompute_feasibility(sizes: np.ndarray, params: GeneratorParams) -> Feasib
             * frac[:, None] ** (counts - 1)[None, :]
             * tail
         )
-        cap_cols.append(
-            log_binomial(cj[:, None] - 1, (counts - 1)[None, :])
-            + log_binomial((n - cj)[:, None], (d - counts)[None, :])
-        )
         cols_d.extend([d] * k)
         cols_c.extend(counts.tolist())
 
-    if cols_d:
-        slope_y = np.concatenate(a_cols, axis=1)
-        slope_z = np.concatenate(b_cols, axis=1)
-        log_cap = np.concatenate(cap_cols, axis=1)
-    else:
-        slope_y = np.zeros((len(cj), 0))
-        slope_z = np.zeros((len(cj), 0))
-        log_cap = np.zeros((len(cj), 0))
-    return FeasibilityConstants(
-        np.asarray(cols_d, dtype=np.int64),
-        np.asarray(cols_c, dtype=np.int64),
-        slope_y,
-        slope_z,
-        log_cap,
-    )
+    pair_d = np.asarray(cols_d, dtype=np.int64)
+    pair_c = np.asarray(cols_c, dtype=np.int64)
+    log_cap = (log_binomial(cj[:, None] - 1, (pair_c - 1)[None, :])
+               + log_binomial((n - cj)[:, None], (pair_d - pair_c)[None, :]))
+    return FeasibilityConstants(pair_d, pair_c, np.concatenate(a_cols, axis=1),
+                                np.concatenate(b_cols, axis=1), log_cap)
 
 
 def admissibility_table(y_vals: np.ndarray, z_vals: np.ndarray,

@@ -93,13 +93,42 @@ def test_split_mean_matches_noise_share():
 # ---------------------------------------------------------------- log binomial
 
 def test_log_binomial_matches_exact_integers():
-    for m in range(0, 40):
+    # m, k and m - k cross the table/series seam of log(x!) at x = 32
+    for m in range(0, 201):
         for k in range(0, m + 1):
             assert log_binomial(m, k) == pytest.approx(math.log(math.comb(m, k)), abs=1e-10)
     assert log_binomial(5, 6) == -np.inf
     assert log_binomial(5, -1) == -np.inf
     big = log_binomial(10**6, 500)
     assert big == pytest.approx(math.log(math.comb(10**6, 500)), rel=1e-12)
+
+
+def assert_near_exact(got, m, k):
+    exact = math.log(math.comb(m, k))
+    assert abs(float(got) - exact) <= 1e-8 * max(1.0, abs(exact)), (m, k)
+
+
+def test_log_binomial_large_m_small_k():
+    rng = np.random.default_rng(8)
+    for m in rng.integers(0, 10**7, size=2000, endpoint=True).tolist():
+        for k in (0, 1, 2, 3, 5, 10, 40, 80):
+            if k <= m:
+                assert_near_exact(log_binomial(m, k), m, k)
+
+
+def test_log_binomial_shapes_and_range():
+    scalar = log_binomial(7, 3)
+    assert np.ndim(scalar) == 0
+    assert float(scalar) == pytest.approx(math.log(35), abs=1e-12)
+    table = log_binomial(np.arange(5, 10)[:, None], np.arange(-1, 7)[None, :])
+    assert table.shape == (5, 8)
+    for i, m in enumerate(range(5, 10)):
+        for j, k in enumerate(range(-1, 7)):
+            if 0 <= k <= m:
+                assert_near_exact(table[i, j], m, k)
+            else:
+                assert table[i, j] == -np.inf
+    assert log_binomial(0, 1) == -np.inf
 
 
 # ---------------------------------------------------------------- constants

@@ -2,6 +2,9 @@
 import gc
 import hashlib
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -299,6 +302,24 @@ def test_pyproject_version_matches_package():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
     with open(path, "rb") as handle:
         assert tomllib.load(handle)["project"]["version"] == hgbench.__version__
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = ("import sys, hgbench, hgbench.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_pyproject_runtime_needs_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in dependencies] == ["numpy"]
 
 
 class TestAssignmentReader:
