@@ -75,7 +75,7 @@ def graph_modularity(graph: TwoSection, partition) -> float:
         raise UndefinedInputError("graph modularity needs at least one edge")
     parts, k = _normalize_partition(partition, graph.n)
     same = parts[graph.pair_u] == parts[graph.pair_v]
-    internal = graph.weight[same].sum() / graph.total_weight
+    internal = int(np.dot(same, graph.weight)) / graph.total_weight
     vol_part = np.bincount(parts, weights=graph.degree, minlength=k)
     tax = ((vol_part / graph.degree.sum()) ** 2).sum()
     return float(internal - tax)
@@ -98,6 +98,8 @@ class Census:
         if hg.edge_count == 0:
             raise UndefinedInputError("hypergraph modularity needs at least one edge")
         p = self.slot_volume.astype(np.float64) / hg.volume
+        with np.errstate(divide="ignore"):
+            log_p, log_q = np.log(p), np.log1p(-p)
         total = 0.0
         for d in range(2, len(self.counts)):
             edge_total = int(self.counts[d].sum())
@@ -106,16 +108,16 @@ class Census:
             if d > u.max_edge_size:
                 raise ValueError(
                     f"edge size {d} exceeds the weight matrix limit {u.max_edge_size}")
-            for c in range(lowest_majority_count(d), d + 1):
+            lo = lowest_majority_count(d)
+            log_choose = log_binomial(d, np.arange(lo, d + 1))
+            for c in range(lo, d + 1):
                 ucd = u.values[c, d]
                 if ucd == 0.0:
                     continue
                 if c == d:
                     null = float((p ** d).sum())
                 else:
-                    with np.errstate(divide="ignore"):
-                        logpmf = (log_binomial(d, c) + c * np.log(p)
-                                  + (d - c) * np.log1p(-p))
+                    logpmf = log_choose[c - lo] + c * log_p + (d - c) * log_q
                     null = float(np.exp(logpmf).sum())
                 total += ucd * (int(self.counts[d, c]) - edge_total * null) / hg.edge_count
         return float(total)
@@ -157,9 +159,30 @@ def census(hg: Hypergraph, partition) -> Census:
     """Composition census of hg under a node partition (one label per node).
 
     Hypergraph modularity depends on the edges only through the counts and
-    the part volumes.  Per size class, a Boyer-Moore vote down the slot
-    positions leaves each edge's only possible majority part as candidate;
-    counting the candidate's slots settles it, with no sort.
+    the part volumes, so one census serves every valuation.  hg keeps its
+    last census and copies of the ``members`` and labels it counted, and
+    hands it out again, read-only, while ``offsets`` is the same array and
+    ``members`` and the labels (in the same dtype) are equal.
+    """
+    labels = partition.member_of if isinstance(partition, CommunityAssignment) else np.asarray(partition)
+    kept = hg._census
+    # as floats, distinct int64 labels can compare equal, so the dtypes must match too
+    if not (kept is not None and kept[0] is hg.offsets and np.array_equal(kept[1], hg.members)
+            and kept[2].dtype == labels.dtype and np.array_equal(kept[2], labels)):
+        hg._census = None   # free the old copies first
+        arrays = _count_compositions(hg, labels)
+        for arr in arrays:
+            arr.flags.writeable = False
+        kept = hg._census = (hg.offsets, hg.members.copy(), labels.copy(), *arrays)
+    return Census(hg, *kept[3:])
+
+
+def _count_compositions(hg: Hypergraph, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of every node, the member slots per part and the counts.
+
+    Per size class, a Boyer-Moore vote down the slot positions leaves each
+    edge's only possible majority part as candidate; counting the
+    candidate's slots settles it, with no sort.
     """
     parts, k = _normalize_partition(partition, hg.n)
     top = int(hg.sizes().max(initial=0))
@@ -176,7 +199,7 @@ def census(hg: Hypergraph, partition) -> Census:
         hits = (labels == cand).sum(axis=0, dtype=votes.dtype)
         counts[d, : d + 1] = np.bincount(np.where(hits > d // 2, hits, 0), minlength=d + 1)
         volume += np.bincount(labels.ravel(), minlength=k)
-    return Census(hg, parts, volume, counts)
+    return parts, volume, counts
 
 
 def hypergraph_modularity(hg: Hypergraph, partition, u: WeightMatrix) -> float:

@@ -57,6 +57,8 @@ class Hypergraph:
     origins: np.ndarray   # int32 per edge
     # (offsets it was built from, size classes); see size_classes
     _layout: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # arrays of the last census and of what it was taken from; see metrics.census
+    _census: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def edge_count(self) -> int:

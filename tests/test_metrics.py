@@ -1,4 +1,7 @@
 """Closed-form modularity oracles, histogram cases, and CCDF sanity."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from hgbench.metrics import (
     type_histogram,
 )
 from hgbench.rewiring import rewire
-from hgbench.structures import Hypergraph
+from hgbench.structures import CommunityAssignment, Hypergraph
 
 
 def hg_from(n, edges):
@@ -156,9 +159,120 @@ class TestCensusEquivalence:
         assert np.array_equal(got.counts, want.counts)
         assert np.array_equal(got.slot_volume, want.slot_volume)
         assert got.pairwise_modularity() == want.pairwise_modularity()
+        assert_scores_like_a_fresh_copy(hg, labels)
         got, want = two_section(hg), two_section(fresh)
         for name in ("pair_u", "pair_v", "weight", "degree"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def assert_scores_like_a_fresh_copy(hg, labels):
+    """Every census output of hg equals that of a new hypergraph built from
+    copies of its arrays, which has no kept census or layout."""
+    fresh = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
+    labels_copy = np.array(getattr(labels, "member_of", labels))
+    got, want = census(hg, labels), census(fresh, labels_copy)
+    for name in ("parts", "slot_volume", "counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert type_histogram(hg, labels) == want.type_histogram()
+    for name in WEIGHT_MODELS:
+        u = modularity_weights(name, 5)
+        assert hypergraph_modularity(hg, labels, u) == want.hypergraph_modularity(u)
+    assert got.pairwise_modularity() == want.pairwise_modularity()
+    return got
+
+
+class TestCensusMemo:
+    @pytest.fixture
+    def case(self):
+        hg = generate(default_params(2000, seed=5, simple=False)).hypergraph
+        return hg, np.random.default_rng(5).integers(0, 40, size=hg.n)
+
+    def test_one_walk_per_partition_scored_every_way(self, case, monkeypatch):
+        hg, labels = case
+        walks = []
+        size_classes = Hypergraph.size_classes
+        monkeypatch.setattr(Hypergraph, "size_classes",
+                            lambda self: walks.append(1) or size_classes(self))
+        for n_walks, partition in enumerate((labels, labels // 2), start=1):
+            for name in WEIGHT_MODELS:
+                hypergraph_modularity(hg, partition, modularity_weights(name, 5))
+            type_histogram(hg, partition)
+            assert len(walks) == n_walks
+
+    def test_repeat_scores_like_a_fresh_copy(self, case):
+        hg, labels = case
+        assert_scores_like_a_fresh_copy(hg, labels)
+        assert_scores_like_a_fresh_copy(hg, labels)
+
+    def test_labels_written_in_place_recount(self, case):
+        hg, labels = case
+        before = census(hg, labels).counts
+        labels[: hg.n // 2] = 0
+        after = assert_scores_like_a_fresh_copy(hg, labels)
+        assert not np.array_equal(after.counts, before)
+
+    def test_members_written_in_place_recount(self):
+        # as the repair does: the same arrays, new contents
+        hg = hg_from(10, [[1, 2, 3], [7, 8, 9]])
+        labels = [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
+        assert type_histogram(hg, labels)[(3, 3)] == 1
+        hg.members[:3] = [4, 5, 6]   # edge 0 now lies in part 1
+        assert type_histogram(hg, labels)[(3, 3)] == 2
+        assert_scores_like_a_fresh_copy(hg, labels)
+
+    def test_replaced_offsets_recount(self):
+        hg = hg_from(4, [[0, 1], [2, 3]])
+        labels = [0, 0, 1, 1]
+        assert type_histogram(hg, labels) == {(0, 2): 0, (2, 2): 2}
+        hg.offsets = np.array([0, 4])   # the same slots as one edge of size 4
+        assert type_histogram(hg, labels) == {(0, 4): 1, (3, 4): 0, (4, 4): 0}
+        assert_scores_like_a_fresh_copy(hg, labels)
+
+    def test_equal_labels_of_any_dtype_or_container_score_alike(self, case):
+        hg, labels = case
+        want = assert_scores_like_a_fresh_copy(hg, labels)
+        sizes = np.bincount(labels)
+        for same in (labels.astype(np.int32), labels.astype(np.uint8), labels.tolist(),
+                     CommunityAssignment(sizes, labels.astype(np.int32))):
+            got = assert_scores_like_a_fresh_copy(hg, same)
+            assert np.array_equal(got.counts, want.counts)
+
+    def test_labels_equal_only_as_floats_recount(self):
+        # 2**53 + 1 rounds to 2**53 as a float: one part, not two
+        hg = hg_from(2, [[0, 1]])
+        labels = np.array([2**53, 2**53 + 1])
+        assert type_histogram(hg, labels) == {(0, 2): 1, (2, 2): 0}
+        assert np.array_equal(labels.astype(float), labels)
+        assert type_histogram(hg, labels.astype(float)) == {(0, 2): 0, (2, 2): 1}
+
+    def test_writes_to_a_census_do_not_reach_a_later_one(self, case):
+        hg, labels = case
+        want = census(Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(),
+                                            hg.origins.copy()), labels)
+        cen = census(hg, labels)
+        for name in ("parts", "slot_volume", "counts"):
+            try:
+                getattr(cen, name)[...] = 1
+            except ValueError:   # read-only
+                pass
+        got = census(hg, labels)
+        for name in ("parts", "slot_volume", "counts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_scored_hypergraph_is_freed_without_the_collector(self):
+        hg = generate(default_params(2000, seed=5, simple=False)).hypergraph
+        labels = np.random.default_rng(5).integers(0, 40, size=hg.n)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hypergraph_modularity(hg, labels, modularity_weights("strict", 5))
+            census(hg, labels).pairwise_modularity()
+            ref = weakref.ref(hg)
+            del hg
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def label_cases(n):
