@@ -25,6 +25,7 @@ from .config import (
     GeneratorParams,
     WeightMatrix,
     build_weight_matrix,
+    default_q,
     modularity_weights,
     validate,
 )
@@ -219,12 +220,7 @@ def build_params(settings: dict) -> GeneratorParams:
     max_edge_size = settings["L"]
     if not isinstance(max_edge_size, int) or max_edge_size < 1:
         raise _ValidationError(f"L must be a positive integer, got {max_edge_size!r}")
-    if "q" in settings:
-        q = settings["q"]
-    elif max_edge_size == 1:
-        q = (1.0,)
-    else:
-        q = (0.0,) + (1.0 / (max_edge_size - 1),) * (max_edge_size - 1)
+    q = settings["q"] if "q" in settings else default_q(max_edge_size)
 
     w_model = settings["w_model"]
     if w_model in WEIGHT_MODELS:

@@ -140,12 +140,20 @@ class GeneratorParams:
         return arr / arr.sum()
 
 
+def default_q(max_edge_size: int) -> tuple[float, ...]:
+    """Default edge-size shares: none on size 1, equal on sizes 2..L; (1.0,) when L = 1."""
+    if max_edge_size == 1:
+        return (1.0,)
+    return (0.0,) + (1.0 / (max_edge_size - 1),) * (max_edge_size - 1)
+
+
 def default_params(n: int, seed: int = 0, **overrides) -> GeneratorParams:
     """Reference parameterization used by the command line when a setting is omitted.
 
     Degrees follow exponent 2.5 on [5, floor(n**0.5)], community sizes follow
     exponent 1.5 on [50, floor(n**0.75)], noise 0.2, sizes 2..5 equally
-    weighted by volume, majority weights, simple output.
+    weighted by volume (``default_q`` of the size cap), majority weights,
+    simple output.
     """
     base = dict(
         n=n,
@@ -157,11 +165,11 @@ def default_params(n: int, seed: int = 0, **overrides) -> GeneratorParams:
         max_size=int(n ** 0.75),
         xi=0.2,
         max_edge_size=5,
-        q=(0.0, 0.25, 0.25, 0.25, 0.25),
         simple=True,
         seed=seed,
     )
     base.update(overrides)
+    base.setdefault("q", default_q(base["max_edge_size"]))
     if "w" not in base:
         base["w"] = build_weight_matrix("majority", base["max_edge_size"])
     return GeneratorParams(**base)

@@ -135,15 +135,16 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
 
     Groups are (size d, community, edge count) tuples in build order: per
     community, sizes largest first and, within a size, majority counts c
-    largest first.  Each edge's first c slots come from its community's
-    shuffled internal pool and the rest from one shuffled external pool
-    shared by all communities, both consumed in build order.  Also returns
-    the per-node internal slot count.
+    largest first.  The m edges of a group are filled as one (m, d) block of
+    members: its first c columns from the community's shuffled internal pool
+    and the rest from one shuffled external pool shared by all communities,
+    both consumed in build order.  Also returns the per-node internal slot
+    count.
     """
     q = params.normalized_q()
     w_norm = params.w.normalized()
     max_d = params.max_edge_size
-    rows, parts = [], []   # parts: (internal slots, external slots, edges) per group
+    rows, parts = [], []   # parts: (majority count, start in the pool) per group
     y_int = np.zeros(len(y), dtype=np.int64)
     pools = []
 
@@ -167,7 +168,7 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
             for c in np.flatnonzero(type_counts)[::-1].tolist():
                 m = int(type_counts[c])
                 rows.append((d, j, m))
-                parts.append((c, d - c, m))
+                parts.append((c, internal_total))
                 internal_total += c * m
 
         shares = distribute_internal(yj, internal_total, rng)
@@ -176,14 +177,16 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
         rng.shuffle(pool)
         pools.append(pool)
 
-    parts = np.asarray(parts, dtype=np.int64).reshape(-1, 3)
-    spans = np.repeat(parts[:, :2], parts[:, 2], axis=0)
-    internal = np.repeat(np.tile([True, False], len(spans)), spans.ravel())
-    members = np.empty(len(internal), dtype=np.int32)
-    members[internal] = np.concatenate(pools)
     external = np.repeat(np.arange(len(y), dtype=np.int32), y - y_int)
     rng.shuffle(external)
-    members[~internal] = external
+    members = np.empty(int(y.sum()), dtype=np.int32)
+    at = taken = 0  # slots filled, external slots consumed
+    for (d, j, m), (c, start) in zip(rows, parts):
+        block = members[at: at + d * m].reshape(m, d)
+        block[:, :c] = pools[j][start: start + c * m].reshape(m, c)
+        block[:, c:] = external[taken: taken + (d - c) * m].reshape(m, d - c)
+        at += d * m
+        taken += (d - c) * m
     return rows, members, y_int
 
 
@@ -287,10 +290,12 @@ def generate(params: GeneratorParams) -> GenerationResult:
 
     groups = np.array([(1, ORIGIN_SINGLETON, len(singleton_owners))]
                       + community_groups + background_groups, dtype=np.int64)
+    members = np.concatenate([singleton_owners, community_members, background_members])
+    del community_members, background_members  # only the joined slots are kept
     hg = Hypergraph.from_sizes(
-        params.n, np.repeat(groups[:, 0], groups[:, 2]),
-        np.concatenate([singleton_owners, community_members, background_members]),
-        np.repeat(groups[:, 1].astype(np.int32), groups[:, 2]))
+        params.n, np.repeat(groups[:, 0].astype(np.min_scalar_type(params.max_edge_size)),
+                            groups[:, 2]),
+        members, np.repeat(groups[:, 1].astype(np.int32), groups[:, 2]))
     lap("assembly")
 
     if params.simple:

@@ -16,7 +16,8 @@ def size_runs(offsets: np.ndarray) -> list[int]:
     """Bounds of the runs of consecutive equal-size edges: run j holds edges
     ``runs[j]`` to ``runs[j+1] - 1``."""
     sizes = np.diff(offsets)
-    return np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
+    bounds = np.flatnonzero(sizes[1:] != sizes[:-1]) + 1
+    return [0, *bounds.tolist(), len(sizes)] if len(sizes) else []
 
 
 def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
@@ -122,7 +123,8 @@ class Hypergraph:
         ``members`` in place.  Pass copies to keep the originals.
         """
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        offsets[1:] = sizes  # summed in place: no int64 copy of narrow sizes
+        np.cumsum(offsets[1:], out=offsets[1:])
         hg = cls(n, offsets, np.asarray(members, dtype=np.int32),
                  np.asarray(origins, dtype=np.int32))
         hg.sort_members()

@@ -34,6 +34,8 @@ from hgbench.metrics import (
 from hgbench.sampling import truncated_power_law
 from hgbench.structures import Hypergraph
 
+pytestmark = pytest.mark.slow
+
 
 def verdict(capsys, number: int, name: str, ok: bool, detail: str) -> None:
     """Print the one-line pass/fail verdict for a gate, bypassing capture."""

@@ -15,6 +15,7 @@ from hgbench.config import (
     WeightMatrix,
     build_weight_matrix,
     default_params,
+    default_q,
     lowest_majority_count,
     modularity_weights,
     validate,
@@ -87,6 +88,20 @@ def test_default_params_pass_validation():
     assert p.max_degree == 32
     assert p.max_size == 181
     assert abs(sum(p.q) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_default_params_validate_for_every_size_cap(L):
+    p = default_params(1000, max_edge_size=L)
+    validate(p)  # must not raise
+    assert p.q == default_q(L) and len(p.q) == L
+    assert p.q == ((1.0,) if L == 1 else (0.0,) + (1 / (L - 1),) * (L - 1))
+
+
+def test_default_q_at_five_is_the_reference_q():
+    # the golden digests were made with exactly these shares
+    assert default_q(5) == default_params(10).q == (0.0, 0.25, 0.25, 0.25, 0.25)
+    assert default_params(10, q=(0.0, 0.5, 0.5, 0.0, 0.0)).q == (0.0, 0.5, 0.5, 0.0, 0.0)
 
 
 def test_validate_is_pure():

@@ -1,4 +1,7 @@
 """Edge-budget allocation oracles and whole-pipeline structural invariants."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,3 +330,65 @@ class TestGenerate:
         for d in (2, 3, 4, 5):
             share = (sizes[sizes == d] * 1.0).sum() / vol
             assert abs(share - 0.25) < 0.04
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestLargeDigests:
+    """Pinned sha256 of generate's arrays at n = 2^15, seed 3: 105 communities
+    and 424 runs of equal-size edges, far more than the n = 2000 golden files.
+
+    The digests were taken from the generator as it was before community
+    edges were filled block by block (v0.3.0); the block fill reproduces them
+    unchanged.  A change to any of them is a change of the output for a given
+    seed and must bump the version.
+    """
+
+    SHARED = {
+        "offsets": "4b5d9e8e5071ea90919b1d70d7aa62e3538a69bf09447af0bdfff21306295c38",
+        "origins": "3027fa11ff030d9195db258e8a1a1d82e8e2c423c440f87f7976d2ed61e17af9",
+        "member_of": "5ab9492d4c6cf8c799cf07d6aea97b32f9542313d067ab2639c6b0b569fc71d7",
+        "internal_degree": "19804fa36e50eab4887f8e4a4bcc3a3ed3264ca23655782bdc4ec59b21560a16",
+        "background_degree": "05794ed677bc6636468b3b2bce357f956e3ac9f0dc983e7e1f9c50a737580418",
+    }
+    MEMBERS = {
+        False: "6bcb3647450c1e349c7e42a25c040dda35724e7e04050567d64423d4a087b9bd",
+        True: "ff438a8ff7dc1af95af8a60cc7c87165ec3d17386b9197df7f6cce2caaa1f08f",
+    }
+
+    @pytest.mark.parametrize("simple", [False, True], ids=["multi", "simple"])
+    def test_arrays_match_pinned_digests(self, simple):
+        res = generate(default_params(2**15, seed=3, simple=simple))
+        hg = res.hypergraph
+        assert res.warnings == []
+        assert hg.offsets.dtype == np.int64
+        assert hg.members.dtype == hg.origins.dtype == res.assignment.member_of.dtype == np.int32
+        arrays = {
+            "offsets": hg.offsets,
+            "origins": hg.origins,
+            "member_of": res.assignment.member_of,
+            "internal_degree": res.profiles.internal_degree,
+            "background_degree": res.profiles.background_degree,
+        }
+        assert {name: sha256(a) for name, a in arrays.items()} == self.SHARED
+        assert sha256(hg.members) == self.MEMBERS[simple]
+
+
+def test_generate_peak_memory_stays_near_output_size():
+    # numpy reports its buffers to tracemalloc, so the peak is the same on
+    # every run; the warm-up call keeps one-time allocations out of it.  The
+    # bound is the traced peak over the bytes of the finished edge arrays:
+    # 1.81 with community edges filled block by block and lean size runs,
+    # 3.22 with the per-slot masks and int64 temporaries they replaced.
+    params = default_params(2**16, seed=1, simple=False)
+    generate(params)
+    tracemalloc.start()
+    try:
+        hg = generate(params).hypergraph
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = hg.offsets.nbytes + hg.members.nbytes + hg.origins.nbytes
+    assert peak <= 2.3 * output, peak / output

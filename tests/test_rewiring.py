@@ -208,6 +208,7 @@ class TestOnGeneratedGraphs:
         assert rewire(b.hypergraph, np.random.default_rng(42)) == 0
         assert (a.hypergraph.members == b.hypergraph.members).all()
 
+    @pytest.mark.slow
     def test_simple_outputs_across_seeds(self):
         # medium graphs, many seeds: output must always be simple
         for seed in range(100):
@@ -242,6 +243,7 @@ def crowded_multigraphs(draw):
     return n, [base[i] for i in picks], origins
 
 
+@pytest.mark.slow
 class TestRandomizedProperty:
     @given(case=multigraphs(), seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=250, deadline=None)

@@ -1,9 +1,12 @@
 """Hypergraph container: array assembly from edge lists."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgbench.structures import ORIGIN_BACKGROUND, Hypergraph
+from hgbench import __version__
+from hgbench.cli import write_edges_file
+from hgbench.structures import ORIGIN_BACKGROUND, Hypergraph, member_lists, size_runs
 
 
 def per_edge_sorted(n, edges):
@@ -63,6 +66,14 @@ class TestFromEdgeLists:
         assert hg.members is members and hg.origins is origins
         assert members.tolist() == [0, 1, 2, 1, 3, 0, 2]
 
+    def test_from_sizes_takes_narrow_sizes(self):
+        # generate passes uint8 sizes; the offsets are int64 all the same
+        members = np.array([2, 0, 1, 3, 1, 0, 2], dtype=np.int32)
+        origins = np.full(3, ORIGIN_BACKGROUND, dtype=np.int32)
+        hg = Hypergraph.from_sizes(4, np.array([3, 2, 2], dtype=np.uint8), members, origins)
+        assert hg.offsets.dtype == np.int64 and hg.offsets.tolist() == [0, 3, 5, 7]
+        assert hg.edge_lists() == [[0, 1, 2], [1, 3], [0, 2]]
+
     def test_no_edges(self):
         hg = Hypergraph.from_edge_lists(4, [])
         assert hg.offsets.tolist() == [0]
@@ -87,3 +98,46 @@ class TestSizeClasses:
         assert hg.size_classes() is not rebuilt
         assert [slots.tolist() for _, slots in hg.size_classes()] == [
             slots.tolist() for _, slots in rebuilt]
+
+
+def size_runs_reference(offsets):
+    """The earlier definition: every index where the size differs from its
+    neighbour, with sentinel sizes -1 before the first and after the last edge."""
+    sizes = np.diff(offsets)
+    return np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
+
+
+def offsets_of(sizes):
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+class TestSizeRuns:
+    @pytest.mark.parametrize("sizes, runs", [
+        ([], []),                          # zero edges
+        ([3], [0, 1]),                     # one edge
+        ([4] * 1000, [0, 1000]),           # one long run
+        ([2, 3] * 50, list(range(101))),   # a new size at every edge
+        ([0, 0, 2, 1, 1], [0, 2, 3, 5]),   # empty edges form a run too
+    ])
+    def test_matches_reference(self, sizes, runs):
+        offsets = offsets_of(sizes)
+        assert size_runs(offsets) == runs == size_runs_reference(offsets)
+
+    @given(sizes=st.lists(st.integers(min_value=0, max_value=6), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_property(self, sizes):
+        offsets = offsets_of(sizes)
+        assert size_runs(offsets) == size_runs_reference(offsets)
+
+    def test_alternating_sizes_in_member_lists_and_writer(self, tmp_path):
+        # sizes 2, 3, 2, 3, ...: one run per edge in member_lists and the writer
+        edges = [[(i + 3) % 7, i % 7] + ([i % 7 + 7] if i % 2 else []) for i in range(40)]
+        hg = Hypergraph.from_edge_lists(14, edges)
+        expected = [sorted(e) for e in edges]
+        assert len(size_runs(hg.offsets)) == len(edges) + 1
+        assert member_lists(hg.members, hg.offsets) == expected
+        path = tmp_path / "alt.edges"
+        write_edges_file(str(path), hg, seed=4)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == [f"# hgbench {__version__} edges", "# nodes=14 edges=40 seed=4"]
+        assert lines[2:] == [" ".join(str(v + 1) for v in e) for e in expected]
