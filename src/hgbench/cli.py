@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import os
 import re
 import sys
@@ -25,7 +26,7 @@ from .config import (
     GeneratorParams,
     WeightMatrix,
     build_weight_matrix,
-    default_q,
+    default_params,
     modularity_weights,
     validate,
 )
@@ -67,51 +68,63 @@ def _parse_q(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-_CONVERTERS = {
-    "n": int,
-    "gamma": float,
-    "delta": int,
-    "D": int,
-    "zeta": float,
-    "beta": float,
-    "s": int,
-    "S": int,
-    "tau": float,
-    "xi": float,
-    "L": int,
-    "q": _parse_q,
-    "w_model": str,
-    "simple": _parse_bool,
-    "seed": int,
-    "replicates": int,
-    "out": str,
-    "stats": _parse_bool,
-    "modularity": _parse_bool,
-    "histograms": _parse_bool,
-}
+# One row per setting: (key, converter, run default, help).  The key is the
+# config key and the flag --key ('-' for '_'); a _parse_bool row also gets
+# --no-key.  Generator defaults are config.default_params's, so only run-only
+# settings carry a run default here (None: no default).
+_SETTINGS = (
+    ("n", int, None, "number of nodes (required here or in the config)"),
+    ("gamma", float, None, "degree power-law exponent (default 2.5)"),
+    ("delta", int, None, "minimum degree (default 5)"),
+    ("D", int, None, "maximum degree (exclusive with --zeta)"),
+    ("zeta", float, None, "degree-cap exponent: max degree = floor(n**zeta) (default 0.5)"),
+    ("beta", float, None, "community-size exponent (default 1.5)"),
+    ("s", int, None, "minimum community size (default 50)"),
+    ("S", int, None, "maximum community size (exclusive with --tau)"),
+    ("tau", float, None, "size-cap exponent: max size = floor(n**tau) (default 0.75)"),
+    ("xi", float, None, "background noise fraction (default 0.2)"),
+    ("L", int, None, "maximum edge size (default 5)"),
+    ("q", _parse_q, None, "volume share per edge size (default 0 for size 1, uniform above)"),
+    ("w_model", str, "majority", "majority | linear | strict | path to a weight file (default majority)"),
+    ("simple", _parse_bool, None,
+     "repair the output into a simple hypergraph (default on; --no-simple keeps the raw multi-hypergraph)"),
+    ("seed", int, None, "base seed; replicate r uses seed + r (default 0)"),
+    ("replicates", int, 1, "number of hypergraphs to generate (default 1)"),
+    ("out", str, DEFAULT_PREFIX,
+     f"output path prefix (default '{DEFAULT_PREFIX}', placed under ${OUT_DIR_ENV} when that is set)"),
+    ("stats", _parse_bool, True, "include distribution tables in the report (default on)"),
+    ("modularity", _parse_bool, True, "include ground-truth modularity in the report (default on)"),
+    ("histograms", _parse_bool, True, "include the edge-type histogram in the report (default on)"),
+)
+_CONVERTER = {key: convert for key, convert, _, _ in _SETTINGS}
+_METAVAR = {"q": "Q1,...,QL", "out": "PREFIX"}
+# the CLI keys whose GeneratorParams field has another name
+_FIELD = {"delta": "min_degree", "D": "max_degree", "s": "min_size", "S": "max_size", "L": "max_edge_size"}
+_PARAM_FIELDS = {field.name for field in dataclasses.fields(GeneratorParams)}
+
+
+def _data_lines(path: str, what: str) -> list[tuple[int, str, str]]:
+    """(line number, text before any '#', raw line) of each line with such text."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {what} file {path}: {exc}") from exc
+    return [(lineno, text, raw) for lineno, raw in enumerate(lines, start=1)
+            if (text := raw.split("#", 1)[0].strip())]
 
 
 def load_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment, blank lines ignored."""
     settings: dict = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text, raw in _data_lines(path, "config"):
         if "=" not in text:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONVERTERS:
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _CONVERTER:
             raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            settings[key] = _CONVERTERS[key](value)
+            settings[key] = _CONVERTER[key](value)
         except ValueError as exc:
             raise _UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return settings
@@ -122,17 +135,10 @@ def load_weight_file(path: str, max_edge_size: int) -> WeightMatrix:
 
     Every size 1..max_edge_size needs its weights to sum to 1 (size 1 means
     the single line "1 1 1.0"), which parameter validation enforces later.
+    A (size, count) pair may appear only once.
     """
     entries: dict[tuple[int, int], float] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise _UsageError(f"cannot read weight file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text, _ in _data_lines(path, "weight"):
         parts = text.split()
         if len(parts) != 3:
             raise _UsageError(f"{path}:{lineno}: expected 'size count weight'")
@@ -140,6 +146,8 @@ def load_weight_file(path: str, max_edge_size: int) -> WeightMatrix:
             d, c, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise _UsageError(f"{path}:{lineno}: bad numbers: {exc}") from exc
+        if (c, d) in entries:
+            raise _UsageError(f"{path}:{lineno}: size {d} count {c} is listed twice")
         entries[(c, d)] = w
     return WeightMatrix.from_entries(max_edge_size, entries)
 
@@ -150,57 +158,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate benchmark hypergraphs with ground-truth communities.")
     parser.add_argument("--version", action="version", version=f"hgbench {__version__}")
     parser.add_argument("--config", metavar="PATH", help="key=value settings file")
-    parser.add_argument("--n", type=int, help="number of nodes (required here or in the config)")
-    parser.add_argument("--gamma", type=float, help="degree power-law exponent (default 2.5)")
-    parser.add_argument("--delta", type=int, help="minimum degree (default 5)")
-    parser.add_argument("--D", type=int, help="maximum degree (exclusive with --zeta)")
-    parser.add_argument("--zeta", type=float,
-                        help="degree-cap exponent: max degree = floor(n**zeta) (default 0.5)")
-    parser.add_argument("--beta", type=float, help="community-size exponent (default 1.5)")
-    parser.add_argument("--s", type=int, help="minimum community size (default 50)")
-    parser.add_argument("--S", type=int, help="maximum community size (exclusive with --tau)")
-    parser.add_argument("--tau", type=float,
-                        help="size-cap exponent: max size = floor(n**tau) (default 0.75)")
-    parser.add_argument("--xi", type=float, help="background noise fraction (default 0.2)")
-    parser.add_argument("--L", type=int, help="maximum edge size (default 5)")
-    parser.add_argument("--q", type=_parse_q, metavar="Q1,...,QL",
-                        help="volume share per edge size (default 0 for size 1, uniform above)")
-    parser.add_argument("--w-model", dest="w_model",
-                        help="majority | linear | strict | path to a weight file (default majority)")
-    parser.add_argument("--simple", action=argparse.BooleanOptionalAction, default=None,
-                        help="repair the output into a simple hypergraph (default on; "
-                             "--no-simple keeps the raw multi-hypergraph)")
-    parser.add_argument("--seed", type=int, help="base seed; replicate r uses seed + r (default 0)")
-    parser.add_argument("--replicates", type=int, help="number of hypergraphs to generate (default 1)")
-    parser.add_argument("--out", metavar="PREFIX",
-                        help=f"output path prefix (default '{DEFAULT_PREFIX}', "
-                             f"placed under ${OUT_DIR_ENV} when that is set)")
-    parser.add_argument("--stats", action=argparse.BooleanOptionalAction, default=None,
-                        help="include distribution tables in the report (default on)")
-    parser.add_argument("--modularity", action=argparse.BooleanOptionalAction, default=None,
-                        help="include ground-truth modularity in the report (default on)")
-    parser.add_argument("--histograms", action=argparse.BooleanOptionalAction, default=None,
-                        help="include the edge-type histogram in the report (default on)")
+    for key, convert, _, text in _SETTINGS:
+        kind = ({"action": argparse.BooleanOptionalAction} if convert is _parse_bool
+                else {"type": convert, "metavar": _METAVAR.get(key)})
+        parser.add_argument("--" + key.replace("_", "-"), help=text, **kind)
     return parser
 
 
-_RUN_DEFAULTS = dict(
-    gamma=2.5, delta=5, beta=1.5, s=50, xi=0.2, L=5,
-    w_model="majority", simple=True, seed=0, replicates=1,
-    out=DEFAULT_PREFIX, stats=True, modularity=True, histograms=True,
-)
-
-
 def merge_settings(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    settings = dict(_RUN_DEFAULTS)
+    """run defaults < config file < explicit flags."""
+    settings = {key: default for key, _, default, _ in _SETTINGS if default is not None}
     if args.config:
         settings.update(load_config_file(args.config))
-    for key in _CONVERTERS:
+    for key in _CONVERTER:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     return settings
+
+
+def _cap(n: int, key: str, exponent: float) -> int:
+    """floor(n**exponent), the cap that a zeta or tau setting stands for."""
+    try:
+        if math.isfinite(exponent):
+            return int(n ** exponent)
+    except OverflowError:
+        pass
+    raise _ValidationError(f"{key} must give a finite cap floor(n**{key}), got {exponent!r}")
 
 
 def build_params(settings: dict) -> GeneratorParams:
@@ -214,25 +198,21 @@ def build_params(settings: dict) -> GeneratorParams:
         raise _ValidationError("give exactly one of D and zeta, not both")
     if "S" in settings and "tau" in settings:
         raise _ValidationError("give exactly one of S and tau, not both")
-    max_degree = settings["D"] if "D" in settings else int(n ** settings.get("zeta", 0.5))
-    max_size = settings["S"] if "S" in settings else int(n ** settings.get("tau", 0.75))
+    fields = {_FIELD.get(key, key): value for key, value in settings.items()
+              if _FIELD.get(key, key) in _PARAM_FIELDS}
+    if "zeta" in settings:
+        fields["max_degree"] = _cap(n, "zeta", settings["zeta"])
+    if "tau" in settings:
+        fields["max_size"] = _cap(n, "tau", settings["tau"])
 
-    max_edge_size = settings["L"]
-    if not isinstance(max_edge_size, int) or max_edge_size < 1:
-        raise _ValidationError(f"L must be a positive integer, got {max_edge_size!r}")
-    q = settings["q"] if "q" in settings else default_q(max_edge_size)
+    if "L" in settings and not (isinstance(settings["L"], int) and settings["L"] >= 1):
+        raise _ValidationError(f"L must be a positive integer, got {settings['L']!r}")
+    params = default_params(**fields)
 
     w_model = settings["w_model"]
-    if w_model in WEIGHT_MODELS:
-        w = build_weight_matrix(w_model, max_edge_size)
-    else:
-        w = load_weight_file(w_model, max_edge_size)
-
-    params = GeneratorParams(
-        n=n, gamma=settings["gamma"], min_degree=settings["delta"],
-        max_degree=max_degree, beta=settings["beta"], min_size=settings["s"],
-        max_size=max_size, xi=settings["xi"], max_edge_size=max_edge_size,
-        q=q, w=w, simple=settings["simple"], seed=settings["seed"])
+    if w_model != "majority":
+        load = build_weight_matrix if w_model in WEIGHT_MODELS else load_weight_file
+        params = dataclasses.replace(params, w=load(w_model, params.max_edge_size))
     validate(params)
     return params
 
@@ -452,32 +432,24 @@ def write_report_file(path: str, result, params: GeneratorParams,
     and the edge-type histogram, section by section."""
     hg = result.hypergraph
     truth = result.assignment
-    lines = [f"# hgbench {__version__} report"]
-    lines.append("[run]")
-    lines.append(f"nodes {hg.n}")
-    lines.append(f"edges {hg.edge_count}")
-    lines.append(f"volume {hg.volume}")
-    lines.append(f"communities {len(truth.sizes)}")
-    lines.append(f"mode {'simple' if params.simple else 'multi'}")
-    lines.append(f"seed {params.seed}")
-    lines.append(f"warnings {len(result.warnings)}")
+    lines = [f"# hgbench {__version__} report", "[run]", f"nodes {hg.n}",
+             f"edges {hg.edge_count}", f"volume {hg.volume}", f"communities {len(truth.sizes)}",
+             f"mode {'simple' if params.simple else 'multi'}", f"seed {params.seed}",
+             f"warnings {len(result.warnings)}"]
     for note in result.warnings:
         lines.append(f"# warning: {note}")
     lines.extend(_params_lines(params, settings["w_model"]))
 
     if settings["stats"]:
         rep = ccdf_report(hg, truth, params)
-        lines.append("[degree_ccdf]")
-        lines.append("K empirical model")
+        lines += ["[degree_ccdf]", "K empirical model"]
         for k, emp, mod in zip(rep.degree_k, rep.degree_ccdf, rep.degree_ccdf_model):
             lines.append(f"{k} {_fmt(emp)} {_fmt(mod)}")
-        lines.append("[community_size_ccdf]")
-        lines.append("K empirical model")
+        lines += ["[community_size_ccdf]", "K empirical model"]
         for k, emp, mod in zip(rep.community_size_k, rep.community_size_ccdf,
                                rep.community_size_ccdf_model):
             lines.append(f"{k} {_fmt(emp)} {_fmt(mod)}")
-        lines.append("[edge_sizes]")
-        lines.append("size count volume_share")
+        lines += ["[edge_sizes]", "size count volume_share"]
         for d in range(1, params.max_edge_size + 1):
             lines.append(f"{d} {rep.edge_size_counts[d - 1]} {_fmt(rep.volume_share[d - 1])}")
 
@@ -485,15 +457,13 @@ def write_report_file(path: str, result, params: GeneratorParams,
         cen = census(hg, truth.member_of)
 
     if settings["modularity"]:
-        lines.append("[modularity]")
-        lines.append(_score_line("two_section", cen.pairwise_modularity))
+        lines += ["[modularity]", _score_line("two_section", cen.pairwise_modularity)]
         lines.extend(_score_line(f"hypergraph_{name}", cen.hypergraph_modularity,
                                  modularity_weights(name, params.max_edge_size))
                      for name in WEIGHT_MODELS)
 
     if settings["histograms"]:
-        lines.append("[type_histogram]")
-        lines.append("size majority count fraction")
+        lines += ["[type_histogram]", "size majority count fraction"]
         for (c, d), count in cen.type_histogram().items():
             lines.append(f"{d} {c} {count} {_fmt(count / int(cen.counts[d].sum()))}")
 
@@ -502,21 +472,14 @@ def write_report_file(path: str, result, params: GeneratorParams,
 
 
 def write_summary_file(path: str, rows: list[dict], base_seed: int) -> None:
-    lines = [f"# hgbench {__version__} summary"]
-    lines.append("[replicates]")
-    lines.append("r seed communities edges volume")
-    for row in rows:
-        lines.append(f"{row['r']} {row['seed']} {row['communities']} "
-                     f"{row['edges']} {row['volume']}")
-    comm = np.array([row["communities"] for row in rows], dtype=float)
-    edges = np.array([row["edges"] for row in rows], dtype=float)
-    lines.append("[aggregate]")
-    lines.append(f"count {len(rows)}")
-    lines.append(f"base_seed {base_seed}")
-    lines.append(f"communities_mean {_fmt(comm.mean())}")
-    lines.append(f"communities_std {_fmt(comm.std(ddof=1) if len(rows) > 1 else 0.0)}")
-    lines.append(f"edges_mean {_fmt(edges.mean())}")
-    lines.append(f"edges_std {_fmt(edges.std(ddof=1) if len(rows) > 1 else 0.0)}")
+    lines = [f"# hgbench {__version__} summary", "[replicates]", "r seed communities edges volume"]
+    lines += [f"{row['r']} {row['seed']} {row['communities']} {row['edges']} {row['volume']}"
+              for row in rows]
+    lines += ["[aggregate]", f"count {len(rows)}", f"base_seed {base_seed}"]
+    for name in ("communities", "edges"):
+        values = np.array([row[name] for row in rows], dtype=float)
+        lines += [f"{name}_mean {_fmt(values.mean())}",
+                  f"{name}_std {_fmt(values.std(ddof=1) if len(rows) > 1 else 0.0)}"]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -532,7 +495,7 @@ def run(settings: dict) -> int:
     exhausted = False
     rows = []
     for r in range(replicates):
-        run_params = dataclasses.replace(params, seed=settings["seed"] + r)
+        run_params = dataclasses.replace(params, seed=params.seed + r)
         result = generate(run_params)
         tag = f"{prefix}_r{r}" if replicates > 1 else prefix
         write_edges_file(f"{tag}.edges", result.hypergraph, run_params.seed)
@@ -548,7 +511,7 @@ def run(settings: dict) -> int:
         print(f"replicate {r}: seed={run_params.seed} "
               f"communities={rows[-1]['communities']} edges={rows[-1]['edges']}")
     if replicates > 1:
-        write_summary_file(f"{prefix}.summary.txt", rows, settings["seed"])
+        write_summary_file(f"{prefix}.summary.txt", rows, params.seed)
     return 4 if exhausted else 0
 
 

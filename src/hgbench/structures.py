@@ -74,8 +74,13 @@ class Hypergraph:
         return np.diff(self.offsets)
 
     def degrees(self) -> np.ndarray:
-        """Per-node incidence count; repeated slots count with multiplicity."""
-        return np.bincount(self.members, minlength=self.n)
+        """Per-node incidence count; repeated slots count with multiplicity.
+        Counted in chunks, since bincount copies its int32 input to int64."""
+        chunk = 1 << 20
+        counts = np.zeros(self.n, dtype=np.intp)
+        for start in range(0, len(self.members), chunk):
+            counts += np.bincount(self.members[start: start + chunk], minlength=self.n)
+        return counts
 
     def edge_lists(self) -> list[list[int]]:
         return member_lists(self.members, self.offsets)

@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, file formats, round trips, determinism."""
+import dataclasses
 import gc
 import hashlib
 import os
@@ -140,6 +141,94 @@ class TestWeightFile:
         out = tmp_path / "o"
         assert run_cli("--n", "400", "--L", "3", "--q", "0,0.5,0.5",
                        "--w-model", str(wfile), "--out", str(out)) == 2
+
+
+class TestSettings:
+    # one sample value per config key; each key is also the flag --key
+    VALUES = {
+        "n": "600", "gamma": "2.2", "delta": "3", "D": "20", "zeta": "0.4",
+        "beta": "1.2", "s": "40", "S": "300", "tau": "0.8", "xi": "0.25", "L": "4",
+        "q": "0,0.4,0.3,0.3", "w_model": "linear", "simple": "false", "seed": "9",
+        "replicates": "2", "out": "runs/x", "stats": "false", "modularity": "false",
+        "histograms": "false",
+    }
+    BOOLEAN = {"simple", "stats", "modularity", "histograms"}
+
+    def test_option_strings_are_pinned(self):
+        options = {s for action in build_parser()._actions for s in action.option_strings}
+        assert options == {
+            "-h", "--help", "--version", "--config", "--n", "--gamma", "--delta", "--D",
+            "--zeta", "--beta", "--s", "--S", "--tau", "--xi", "--L", "--q", "--w-model",
+            "--simple", "--no-simple", "--seed", "--replicates", "--out", "--stats",
+            "--no-stats", "--modularity", "--no-modularity", "--histograms",
+            "--no-histograms"}
+        flags = {"--" + key.replace("_", "-") for key in self.VALUES}
+        flags |= {"--no-" + key for key in self.BOOLEAN}
+        assert options - {"-h", "--help", "--version", "--config"} == flags
+
+    @pytest.mark.parametrize("key", sorted(VALUES))
+    def test_each_config_key_matches_its_flag(self, tmp_path, key):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {self.VALUES[key]}\n")
+        from_file = merge_settings(build_parser().parse_args(["--config", str(cfg)]))
+        flag = "--" + key.replace("_", "-")
+        argv = [f"--no-{key}"] if key in self.BOOLEAN else [flag, self.VALUES[key]]
+        from_flag = merge_settings(build_parser().parse_args(argv))
+        assert key in from_file
+        assert from_file == from_flag
+
+    def test_run_defaults_name_only_config_keys(self):
+        assert set(merge_settings(build_parser().parse_args([]))) <= set(self.VALUES)
+
+    @pytest.mark.parametrize("n", [1000, 2 ** 17])
+    @pytest.mark.parametrize("L", [None, 3, 8])
+    def test_cli_defaults_are_the_library_defaults(self, n, L):
+        argv = ["--n", str(n)] + (["--L", str(L)] if L is not None else [])
+        params = build_params(merge_settings(build_parser().parse_args(argv)))
+        expected = default_params(n) if L is None else default_params(n, max_edge_size=L)
+        for field in dataclasses.fields(expected):
+            got, want = getattr(params, field.name), getattr(expected, field.name)
+            if field.name == "w":
+                assert got.max_edge_size == want.max_edge_size
+                np.testing.assert_array_equal(got.values, want.values)
+            else:
+                assert got == want, field.name
+
+
+class TestBadInput:
+    """Bad values and malformed files end in a typed error, never a traceback."""
+
+    FILES = {
+        "binary.cfg": b"n = 1000\n\xff\n",
+        "binary.w": b"1 1 1.0\n\xff\n",
+        "repeat.w": b"1 1 1.0\n2 2 0.3\n2 2 1.0\n",
+    }
+    CASES = {
+        "zeta-nan": (["--n", "1000", "--zeta", "nan"], 2, "zeta"),
+        "zeta-inf": (["--n", "1000", "--zeta", "inf"], 2, "zeta"),
+        "zeta-minus-inf": (["--n", "1000", "--zeta=-inf"], 2, "zeta"),
+        "zeta-huge": (["--n", "1000", "--zeta", "400"], 2, "zeta"),
+        "tau-nan": (["--n", "1000", "--tau", "nan"], 2, "tau"),
+        "tau-inf": (["--n", "1000", "--tau", "inf"], 2, "tau"),
+        "tau-huge": (["--n", "1000", "--tau", "1e308"], 2, "tau"),
+        "L-zero": (["--n", "1000", "--L", "0"], 2, "L"),
+        "L-negative": (["--n", "1000", "--L", "-3"], 2, "L"),
+        "no-replicates": (["--n", "1000", "--replicates", "0"], 2, "replicates"),
+        "binary-config": (["--config", "{dir}/binary.cfg"], 1, "binary.cfg"),
+        "binary-weights": (["--n", "1000", "--w-model", "{dir}/binary.w"], 1, "binary.w"),
+        "repeated-weight": (["--n", "1000", "--w-model", "{dir}/repeat.w"], 1, "repeat.w:3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_input_is_a_typed_error(self, tmp_path, capsys, case):
+        for name, body in self.FILES.items():
+            (tmp_path / name).write_bytes(body)
+        argv, code, named = self.CASES[case]
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == code
+        err = capsys.readouterr().err
+        assert err.startswith("hgbench: error[")
+        assert named in err
 
 
 class TestOutputs:
