@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    MAX_N,
     WEIGHT_MODELS,
     GeneratorParams,
     WeightMatrix,
@@ -191,8 +192,8 @@ def build_params(settings: dict) -> GeneratorParams:
     if "n" not in settings:
         raise _ValidationError("n is required (flag --n or config key n)")
     n = settings["n"]
-    if not isinstance(n, int) or n < 1:
-        raise _ValidationError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+        raise _ValidationError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
 
     if "D" in settings and "zeta" in settings:
         raise _ValidationError("give exactly one of D and zeta, not both")
@@ -265,6 +266,80 @@ _BYTE_CLASS[list(b" \t\n\r\v\f")] = 0
 _BYTE_CLASS[ord("0"): ord("9") + 1] = 1
 
 
+def _fail(path: str, lineno: int, why: str):
+    raise ValueError(f"{path}:{lineno}: {why}")
+
+
+def _line(path: str, lineno: int) -> str:
+    """Line ``lineno`` of a data file, stripped, to show in a fault."""
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        return next(itertools.islice(handle, lineno - 1, None)).strip()
+
+
+def _scan(path: str, bad: str, noun: str, width: int | None = None):
+    """Tokenize a data file of unsigned decimal ids in bulk.
+
+    Returns (ids, bounds, header, line_of): every id in file order as int64;
+    the bounds of each line that holds ids once '#' comments are removed
+    (line j holds ``ids[bounds[j]:bounds[j+1]]``); the header's ``nodes=`` and
+    ``edges=`` as {key: (value, line number)}; and ``line_of(k)``, id k's line.
+
+    Newlines are universal.  A ValueError naming ``path:line`` is raised for
+    a byte that is not UTF-8, and outside comments for a byte that is neither
+    a digit nor whitespace ("<bad>, got <line>") or an id with more than
+    ``width`` digits ("<noun> <id> has more than ...").  ``width`` defaults to
+    the digits of ``nodes=``; no id or header value may pass 18, so all fit int64.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not raw.isascii():
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            _fail(path, raw.count(b"\n", 0, exc.start) + 1, f"byte {raw[exc.start]:#x} is not UTF-8")
+    header = {}
+    for key in ("nodes", "edges"):
+        # the regex tries every line start, so it runs only when the key is there
+        tag = key.encode() + b"="
+        found = tag in raw and re.search(rb"^#.*\b" + tag + rb"(\d+)", raw, re.M)
+        if found:
+            lineno = raw.count(b"\n", 0, found.start()) + 1
+            if len(found[1]) > 18:
+                _fail(path, lineno, f"header {key}= has more than 18 digits")
+            header[key] = int(found[1]), lineno
+    if width is None:
+        width = len(str(header["nodes"][0])) if "nodes" in header else 18
+    text = re.sub(rb"#[^\n]*", b"", raw)      # comments go, line breaks stay
+    del raw
+    buf = np.frombuffer(text, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+
+    def line_at(pos) -> int:
+        return int(np.searchsorted(newlines, pos)) + 1
+
+    kind = _BYTE_CLASS[buf]
+    if (kind < 0).any():
+        lineno = line_at(np.argmax(kind < 0))
+        _fail(path, lineno, f"{bad}, got {_line(path, lineno)}")
+    # a token is a run of digits: it starts and ends where the digit mask flips
+    flips = np.flatnonzero(np.diff(kind.view(bool), prepend=False, append=False))
+    starts, ends = flips.reshape(-1, 2).T
+    del buf, kind
+    wide = np.flatnonzero(ends - starts > width)
+    if len(wide):
+        k = wide[0]
+        _fail(path, line_at(starts[k]),
+              f"{noun} {text[starts[k]: ends[k]].decode()} has more than {width} digits")
+    # fromstring reads a body with no tokens as [0]
+    ids = np.fromstring(text, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
+    del text
+    # a line's ids end at the first token after its line break; a blank line ends none
+    after = np.searchsorted(starts, newlines)
+    bounds = np.append(0, after[np.diff(after, prepend=0) > 0])
+    bounds = np.append(bounds[bounds < len(ids)], len(ids))
+    return ids, bounds, header, lambda k: line_at(starts[k])
+
+
 def read_edges_file(path: str) -> list[list[int]]:
     """Parse an edges file back into 0-based member lists, in file order.
 
@@ -273,67 +348,17 @@ def read_edges_file(path: str) -> list[list[int]]:
     id).  When the header gives ``edges=``, the file must have that many
     edge lines.  The first fault raises a ValueError naming ``path:line``.
     """
-    return member_lists(*_parse_edges_file(path))
-
-
-def _parse_edges_file(path: str):
-    """(0-based ids, offsets) of an edges file, parsed in bulk.  Its own
-    function, so that the parse's temporaries are freed before the lists
-    are built."""
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read().encode()   # universal newlines: every line ends in \n
-
-    def fail(lineno, why: str):
-        raise ValueError(f"{path}:{lineno}: {why}")
-
-    def line_of(pos) -> int:
-        return int(np.searchsorted(newlines, pos)) + 1
-
-    def header(key: bytes):
-        found = re.search(rb"^#.*\b" + key + rb"=(\d+)", raw, re.MULTILINE)
-        if found is None:
-            return None, None
-        return int(found[1]), raw.count(b"\n", 0, found.start()) + 1
-
-    n, _ = header(b"nodes")
-    edges, edges_line = header(b"edges")
-    text = re.sub(rb"#[^\n]*", b"", raw)      # comments go, line breaks stay
-    buf = np.frombuffer(text, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    kind = _BYTE_CLASS[buf]
-    if (kind < 0).any():
-        lineno = line_of(np.argmax(kind < 0))
-        shown = raw.split(b"\n")[lineno - 1].decode(errors="replace").strip()
-        fail(lineno, f"expected node ids, got {shown!r}")
-    # a token is a run of digits: it starts and ends where the digit mask flips
-    flips = np.flatnonzero(np.diff(kind.view(bool), prepend=False, append=False))
-    starts, ends = flips.reshape(-1, 2).T
-    del raw, buf, kind
-    # a wider token is out of range anyway; the cap keeps every id inside int64
-    width = min(len(str(n)) if n is not None else 18, 18)
-    wide = np.flatnonzero(ends - starts > width)
-    if len(wide):
-        k = wide[0]
-        fail(line_of(starts[k]),
-             f"node id {text[starts[k]: ends[k]].decode()} has more than {width} digits")
-    # fromstring reads a body with no tokens as [0]
-    ids = np.fromstring(text, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
-    del text
-    if n is None:
-        n = int(ids.max(initial=0))
+    ids, bounds, header, line_of = _scan(path, "expected node ids", "node id")
+    n = header["nodes"][0] if "nodes" in header else int(ids.max(initial=0))
     bad = np.flatnonzero((ids < 1) | (ids > n))
     if len(bad):
-        k = bad[0]
-        fail(line_of(starts[k]), f"node id {ids[k]} is outside 1..{n}")
-    # an edge starts at the first token and at the first token after a line break
-    firsts = np.searchsorted(starts, newlines)
-    line_starts = np.append(0, firsts[np.diff(firsts, prepend=0) > 0])
-    line_starts = line_starts[line_starts < len(ids)]
-    if edges is not None and edges != len(line_starts):
-        fail(edges_line, f"header says edges={edges}, "
-                         f"but the file has {len(line_starts)} edge lines")
+        _fail(path, line_of(bad[0]), f"node id {ids[bad[0]]} is outside 1..{n}")
+    if "edges" in header and header["edges"][0] != len(bounds) - 1:
+        edges, lineno = header["edges"]
+        _fail(path, lineno, f"header says edges={edges}, but the file has {len(bounds) - 1} edge lines")
+    del line_of    # frees the token bounds before the lists are built
     ids -= 1
-    return ids, np.append(line_starts, len(ids))
+    return member_lists(ids, bounds)
 
 
 def read_assignment_file(path: str) -> np.ndarray:
@@ -344,51 +369,27 @@ def read_assignment_file(path: str) -> np.ndarray:
     "node community" with a positive community id; the first fault raises a
     ValueError naming ``path:line``.
     """
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read().encode()   # universal newlines: every line ends in \n
-
-    def fail(lineno, why: str):
-        raise ValueError(f"{path}:{lineno}: {why}")
-
-    text = re.sub(rb"#[^\n]*", b"", raw)       # comments go, line breaks stay
-    tokens = text.split()
-    buf = np.frombuffer(text, dtype=np.uint8)
-    blank = np.isin(buf, np.frombuffer(b" \t\n\r\v\f", dtype=np.uint8))
-    starts = np.flatnonzero(~blank & np.concatenate(([True], blank[:-1])))
-    token_line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts) + 1
-    per_line = np.bincount(token_line)
-    wrong = np.flatnonzero((per_line != 0) & (per_line != 2))
+    ids, bounds, header, line_of = _scan(path, "bad number", "number", width=18)
+    wrong = np.flatnonzero(np.diff(bounds) != 2)
     if len(wrong):
-        shown = raw.split(b"\n")[wrong[0] - 1].decode(errors="replace").strip()
-        fail(wrong[0], f"expected 'node community', got {shown!r}")
-    linenos = token_line[::2]
-    try:
-        node, comm = np.array(tokens, dtype=np.int64).reshape(-1, 2).T
-    except (ValueError, OverflowError):
-        for tok, lineno in zip(tokens, token_line):
-            try:
-                np.int64(int(tok))
-            except (ValueError, OverflowError) as exc:
-                fail(lineno, f"bad number: {exc}")
-        raise
-    n = len(node)
-    header = re.search(rb"^#.*\bnodes=(\d+)", raw, re.MULTILINE)
-    if header:
-        n = int(header[1])
+        lineno = line_of(bounds[wrong[0]])
+        _fail(path, lineno, f"expected 'node community', got {_line(path, lineno)!r}")
+    node, comm = ids.reshape(-1, 2).T
+    n = header["nodes"][0] if "nodes" in header else len(node)
     bad = np.flatnonzero((node < 1) | (node > n) | (comm < 1))
     if len(bad):
         k = bad[0]
-        fail(linenos[k], f"node must be in 1..{n} and community >= 1, got {node[k]} {comm[k]}")
+        _fail(path, line_of(2 * k), f"node must be in 1..{n} and community >= 1, got {node[k]} {comm[k]}")
     order = np.argsort(node, kind="stable")
     repeats = order[1:][node[order[1:]] == node[order[:-1]]]
     if len(repeats):
         k = repeats.min()
-        fail(linenos[k], f"node {node[k]} is assigned twice")
+        _fail(path, line_of(2 * k), f"node {node[k]} is assigned twice")
     if len(node) < n:
         # ids are distinct and in range, so the first gap is a missing node
         gaps = np.flatnonzero(node[order] != np.arange(1, len(node) + 1))
         missing = gaps[0] + 1 if len(gaps) else len(node) + 1
-        fail(raw.count(b"\n", 0, header.start()) + 1, f"node {missing} has no assignment")
+        _fail(path, header["nodes"][1], f"node {missing} has no assignment")
     labels = np.empty(n, dtype=np.int64)
     labels[node - 1] = comm - 1
     return labels

@@ -23,6 +23,9 @@ PROB_TOL = 1e-9
 
 WEIGHT_MODELS = ("majority", "linear", "strict")
 
+# Node ids are stored as int32.
+MAX_N = 2**31 - 1
+
 
 def lowest_majority_count(d: int) -> int:
     """Smallest member count that forms a strict majority of a size-d edge."""
@@ -196,6 +199,9 @@ def validate(params: GeneratorParams) -> None:
     p = params
 
     n_ok = _check_int(issues, "n", p.n, 1)
+    if n_ok and p.n > MAX_N:
+        issues.append(ParameterIssue("n", p.n, f"must be <= {MAX_N}, the largest int32 node id"))
+        n_ok = False
     if not np.isfinite(p.gamma) or p.gamma <= 0:
         issues.append(ParameterIssue("gamma", p.gamma, "must be a positive real"))
     if not np.isfinite(p.beta) or p.beta <= 0:
@@ -268,6 +274,7 @@ def validate(params: GeneratorParams) -> None:
 
 
 __all__ = [
+    "MAX_N",
     "PROB_TOL",
     "WEIGHT_MODELS",
     "GeneratorParams",

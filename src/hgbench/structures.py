@@ -23,19 +23,17 @@ def size_runs(offsets: np.ndarray) -> list[int]:
 def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     """``members[offsets[i]:offsets[i+1]]`` as a list of Python ints, per edge i.
 
-    Every slot holding node v refers to the one int object for v, and each
-    run of equal-size edges comes out of one 2-D ``tolist``.  The lists hold
-    only ints, so collector passes over them find nothing; the collector is
-    paused while they are built, which makes building them several times
+    Each run of equal-size edges comes out of one 2-D ``tolist``.  The lists
+    hold only ints, so collector passes over them find nothing; the collector
+    is paused while they are built, which makes building them several times
     faster.
     """
-    nodes = np.arange(members.max(initial=-1) + 1, dtype=object)[members]
     lists: list[list[int]] = []
     enabled = gc.isenabled()
     gc.disable()
     try:
         for e0, e1 in itertools.pairwise(size_runs(offsets)):
-            run = nodes[offsets[e0]: offsets[e1]]
+            run = members[offsets[e0]: offsets[e1]]
             lists += run.reshape(e1 - e0, offsets[e0 + 1] - offsets[e0]).tolist()
     finally:
         if enabled:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgbench.config import (
+    MAX_N,
     PROB_TOL,
     GeneratorParams,
     WeightMatrix,
@@ -136,12 +137,18 @@ def test_validate_collects_all_violations():
     (dict(gamma=-2.5), "gamma"),
     (dict(beta=0.0), "beta"),
     (dict(seed=-1), "seed"),
+    (dict(n=MAX_N + 1), "n"),                  # past the int32 node ids
 ])
 def test_validate_rejects_each_bad_field(change, field):
     p = dataclasses.replace(default_params(1024), **change)
     with pytest.raises(InvalidParameters) as exc:
         validate(p)
     assert field in {i.field for i in exc.value.issues}
+
+
+def test_largest_int32_node_count_validates():
+    validate(dataclasses.replace(default_params(1024), n=MAX_N))
+    assert MAX_N == np.iinfo(np.int32).max
 
 
 def test_q_within_tolerance_accepted_and_renormalized():
