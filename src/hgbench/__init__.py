@@ -32,7 +32,7 @@ from .structures import (
     Hypergraph,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "GeneratorParams",

@@ -18,9 +18,6 @@ from .errors import InfeasibleError
 from .sampling import stochastic_round_array
 from .structures import CommunityAssignment
 
-# Spots-proportional draws attempted before falling back to an exhaustive scan.
-FAST_PATH_TRIES = 10
-
 
 def split_degrees(degrees: np.ndarray, xi: float, rng: np.random.Generator):
     """Split each degree into (community, background) = (y, z), z = round(xi * degree).
@@ -157,11 +154,9 @@ def assign_communities(y: np.ndarray, z: np.ndarray, sizes: np.ndarray,
     """Place every node into a community, spots-proportionally among admissible ones.
 
     Nodes are processed in non-increasing order of y + z (ties: larger y
-    first).  Each node first tries FAST_PATH_TRIES spots-proportional draws
-    with replacement, accepting the first admissible community; if none hits,
-    an exhaustive scan collects the admissible communities with free spots and
-    draws one spots-proportionally.  Both paths together sample exactly
-    proportionally to spots among admissible communities.
+    first).  Each node takes one uniform draw over the free spots of the
+    communities that admit it, so it lands in an admissible community with
+    probability proportional to that community's free spots.
 
     The run of trailing nodes (in processing order) whose split admits every
     community is filled in one shot by dealing the remaining spot multiset
@@ -187,23 +182,12 @@ def assign_communities(y: np.ndarray, z: np.ndarray, sizes: np.ndarray,
     member_of = np.full(n, -1, dtype=np.int32)
 
     for node, s in zip(order[:cut], split[:cut]):
-        row = adm[s]
-        running = np.cumsum(spots)
-        total = running[-1]
-        placed = -1
-        for _ in range(FAST_PATH_TRIES):
-            j = int(np.searchsorted(running, rng.random() * total, side="right"))
-            if row[j]:
-                placed = j
-                break
-        if placed < 0:
-            weights = np.where(row, spots, 0)
-            running = np.cumsum(weights)
-            if running[-1] == 0:
-                raise InfeasibleError(
-                    f"node {node} with split (y={y[node]}, z={z[node]}) "
-                    "fits no community with free spots")
-            placed = int(np.searchsorted(running, rng.random() * running[-1], side="right"))
+        running = np.where(adm[s], spots, 0).cumsum()   # methods skip numpy's dispatch
+        if running[-1] == 0:
+            raise InfeasibleError(
+                f"node {node} with split (y={y[node]}, z={z[node]}) "
+                "fits no community with free spots")
+        placed = int(running.searchsorted(rng.random() * running[-1], side="right"))
         member_of[node] = placed
         spots[placed] -= 1
 

@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -283,6 +284,8 @@ def _scan(path: str, bad: str, noun: str, width: int | None = None):
     the bounds of each line that holds ids once '#' comments are removed
     (line j holds ``ids[bounds[j]:bounds[j+1]]``); the header's ``nodes=`` and
     ``edges=`` as {key: (value, line number)}; and ``line_of(k)``, id k's line.
+    The header is the run of blank and '#' lines before the first other
+    line: a key in a later comment is not read.
 
     Newlines are universal.  A ValueError naming ``path:line`` is raised for
     a byte that is not UTF-8, and outside comments for a byte that is neither
@@ -298,12 +301,11 @@ def _scan(path: str, bad: str, noun: str, width: int | None = None):
         except UnicodeDecodeError as exc:
             _fail(path, raw.count(b"\n", 0, exc.start) + 1, f"byte {raw[exc.start]:#x} is not UTF-8")
     header = {}
+    head = re.match(rb"(?:[ \t\v\f]*\n|#[^\n]*\n?)*", raw)[0]   # the leading blank and '#' lines
     for key in ("nodes", "edges"):
-        # the regex tries every line start, so it runs only when the key is there
-        tag = key.encode() + b"="
-        found = tag in raw and re.search(rb"^#.*\b" + tag + rb"(\d+)", raw, re.M)
+        found = re.search(rb"\b" + key.encode() + rb"=(\d+)", head)
         if found:
-            lineno = raw.count(b"\n", 0, found.start()) + 1
+            lineno = head.count(b"\n", 0, found.start()) + 1
             if len(found[1]) > 18:
                 _fail(path, lineno, f"header {key}= has more than 18 digits")
             header[key] = int(found[1]), lineno
@@ -487,17 +489,23 @@ def write_summary_file(path: str, rows: list[dict], base_seed: int) -> None:
 
 def run(settings: dict) -> int:
     """Generate all replicates and write their files; returns the exit code."""
-    params = build_params(settings)
-    prefix = resolve_prefix(settings["out"])
     replicates = settings["replicates"]
     if not isinstance(replicates, int) or replicates < 1:
         raise _ValidationError(f"replicates must be a positive integer, got {replicates!r}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = build_params(settings)
+    for note in caught:
+        print(f"hgbench: warning[params]: {note.message}", file=sys.stderr)
+    prefix = resolve_prefix(settings["out"])
 
     exhausted = False
     rows = []
     for r in range(replicates):
         run_params = dataclasses.replace(params, seed=params.seed + r)
-        result = generate(run_params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # generate repeats build_params' warning
+            result = generate(run_params)
         tag = f"{prefix}_r{r}" if replicates > 1 else prefix
         write_edges_file(f"{tag}.edges", result.hypergraph, run_params.seed)
         write_assignment_file(f"{tag}.assign", result.assignment, run_params.seed)

@@ -1,8 +1,11 @@
 """Evaluation metrics: 2-section graph, modularity family, type histograms, CCDF tables.
 
-All functions are pure: they read the hypergraph and a node partition and
-return numbers or plain data.  Partitions are given as an integer label per
-node; labels are normalized internally, so any labeling scheme works.
+The functions read the hypergraph and a node partition and return numbers
+or plain data.  They change neither, but they leave two memos on the
+hypergraph for later calls: ``census`` keeps its last census, and scoring
+builds the size-class layout that ``Hypergraph.size_classes`` keeps.
+Partitions are given as an integer label per node; labels are normalized
+internally, so any labeling scheme works.
 """
 from __future__ import annotations
 
@@ -145,9 +148,8 @@ class Census:
             distinct = first.sum(axis=0)
             total += int((distinct * (distinct - 1) // 2).sum())
             # a repeated slot gets a label no part has, so it pairs with nothing
-            labels = np.where(first, self.parts[nodes], -1 - np.arange(d)[:, None])
-            i, j = np.triu_indices(d, 1)
-            internal += int(np.count_nonzero(labels[i] == labels[j]))
+            labels = np.where(first, self.parts[nodes], -1 - np.arange(d, dtype=np.int32)[:, None])
+            internal += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
             gain = np.broadcast_to(distinct - 1, labels.shape)[first]
             volume += np.bincount(labels[first], weights=gain, minlength=len(volume))
         if total == 0:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from hgbench.assignment import (
-    FAST_PATH_TRIES,
     admissibility_table,
     assign_communities,
     log_binomial,
@@ -332,7 +331,3 @@ def test_assignment_deterministic():
         consts = precompute_feasibility(sizes, p)
         return assign_communities(y, z, sizes, consts, rng).member_of
     np.testing.assert_array_equal(run(), run())
-
-
-def test_fast_path_try_count_pinned():
-    assert FAST_PATH_TRIES == 10

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,21 @@ class TestArgumentHandling:
         assert run_cli("--n", "500", "--q", "0.5,0.6,0,0,0",
                        "--out", str(out)) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_bad_replicates_create_no_directory(self, tmp_path, capsys):
+        assert run_cli("--n", "1000", "--replicates", "0",
+                       "--out", str(tmp_path / "newdir" / "x")) == 2
+        assert "error[validation]: replicates" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_params_warning_is_printed_once(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert run_cli("--n", "1000", "--D", "1000", "--out", str(tmp_path / "x")) == 0
+        assert escaped == []
+        assert capsys.readouterr().err.splitlines() == [
+            "hgbench: warning[params]: max_degree=1000 exceeds max_size=177; "
+            "high-degree nodes rely on their background share to fit in a community"]
 
     def test_malformed_q_text_is_usage_error(self, tmp_path):
         assert run_cli("--n", "500", "--q", "a,b,c", "--out", str(tmp_path / "x")) == 1
@@ -365,21 +381,21 @@ class TestGoldenDigests:
     CASES = {
         "majority-simple": (
             ["--n", "2000", "--seed", "7", "--w-model", "majority"],
-            {".edges": "0d5a86f5d50678b4ed930a366565b9d6213d332de739b1ddc22ebe96e135fbb9",
-             ".assign": "9653e1ff2a251e71d7e6359c9668fa8829103d78be26a174a9f4d30df7c66bb0",
-             ".report.txt": "b19538a477ab6b40c5208d51c2e2a44c7741e5e3e21e22b1c8708f5f1f797038"}),
+            {".edges": "70af111f79e4b674c25fc8f03b5dea7ee263c728872a59e20a00f23600d866e9",
+             ".assign": "71c8221fcd4e00f17b0e150b774e8efe80d15512dcb1fd755acb844949a3ec2b",
+             ".report.txt": "0fa72cc1f22bf29a6756a314c2ce75a8ca47f224e1640983faaa430803996646"}),
         "strict-multi": (
             ["--n", "2000", "--seed", "7", "--w-model", "strict", "--no-simple"],
-            {".edges": "31bd788f5af944c6778d7cf0a435b1320aa9c471b2743f764dc25c79756bd678",
-             ".assign": "9653e1ff2a251e71d7e6359c9668fa8829103d78be26a174a9f4d30df7c66bb0",
-             ".report.txt": "f45490abf90e6fc4e25598b6ad3184edf7bd6b48cab19ae81d31c135542ad305"}),
+            {".edges": "239263cc106820fd8ccdc95fd6d7a016994d250261338dcd11c5e7808d310c0d",
+             ".assign": "71c8221fcd4e00f17b0e150b774e8efe80d15512dcb1fd755acb844949a3ec2b",
+             ".report.txt": "5c810960dec02990514ed7fc9894e7d846523beeba600a6f309b295593418eaa"}),
         # q_1 > 0: singleton edges, and the background leftover becomes one
         # more singleton instead of a bumped size-2 edge
         "singletons-multi": (
             ["--n", "2000", "--seed", "2", "--q", "0.2,0.2,0.2,0.2,0.2", "--no-simple"],
-            {".edges": "d9a6eea1bc3c5d946661b05b26887822c903ba6c3edc47e52f9e98e56b237526",
-             ".assign": "dadb14e0087954748f7169ebcda90b7b340bb25b126e102a6b2cee22805dff0e",
-             ".report.txt": "0e776bde64943adf05b383ff498e25ee0bcc08ffafbe360e1599fcacaadd3b10"}),
+            {".edges": "91fe89a361938f2b5968591388a2a6ac708e8d5f6e3b4c36db4c761e3af901b8",
+             ".assign": "1002bca7b30af91781ac444e2d5cb5ef2406b4457b4fbab90cb26492980c3786",
+             ".report.txt": "fe5603056807ef6574283189088ec5b5ef013ff76f5e603bd4045979f1ed61f2"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -537,6 +553,13 @@ class TestEdgesReader:
         with pytest.raises(ValueError, match=rf"x\.edges:2: header says edges=3, "
                                              rf"but the file has {count} edge lines"):
             read_edges_file(path)
+
+    @pytest.mark.parametrize("header, body, edges", [
+        ("", "1 2\n3 4\n# copied from a run with nodes=3\n", [[0, 1], [2, 3]]),
+        ("# hgbench\n# nodes=5\n\n", "1 2\n3\n# edges=7\n", [[0, 1], [2]]),
+    ], ids=["nodes", "edges"])
+    def test_keys_after_the_header_are_not_read(self, tmp_path, header, body, edges):
+        assert read_edges_file(self.write(tmp_path, body, header=header)) == edges
 
     def test_collector_state_is_restored(self, tmp_path):
         good = self.write(tmp_path, "1 2\n3\n4 5\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgbench.assignment import admissibility_table, precompute_feasibility
 from hgbench.config import GeneratorParams, build_weight_matrix, default_params
 from hgbench.errors import InfeasibleError
 from hgbench.generation import (
@@ -374,6 +375,21 @@ class TestLargeDigests:
         }
         assert {name: sha256(a) for name, a in arrays.items()} == self.SHARED
         assert sha256(hg.members) == self.MEMBERS[simple]
+
+    def test_blocked_placement_matches_pinned_digests(self):
+        # min_size 20 against max_degree 200: some communities refuse the
+        # largest nodes, so assign_communities places those one by one
+        # instead of dealing them with the rest
+        params = default_params(4096, seed=3, simple=False, max_degree=200, min_size=20)
+        res = generate(params)
+        y = res.profiles.community_degree
+        z = res.profiles.degree - y   # the split as placed, before background bumps
+        adm = admissibility_table(y, z, precompute_feasibility(res.assignment.sizes, params))
+        assert not adm.all()
+        assert sha256(res.assignment.member_of) == (
+            "9e7ff603975bde6b781c3974dc2fec276a8b7138972ebc02298fac0d7bcddb03")
+        assert sha256(res.hypergraph.members) == (
+            "20215c9afcdd1a65e92f3a8dc5a6a6089af2fa9db4c7ecda696b04eebf911ec0")
 
 
 def test_generate_peak_memory_stays_near_output_size():

@@ -183,6 +183,7 @@ def _assert_valid_sizes(sizes, n, s, big_s):
     assert np.all(np.diff(sizes) <= 0)
 
 
+@pytest.mark.slow
 def test_sizes_sum_exact_many_seeds_small():
     p = dataclasses.replace(default_params(100), min_size=10, max_size=60)
     for seed in range(10_000):
@@ -190,6 +191,7 @@ def test_sizes_sum_exact_many_seeds_small():
         _assert_valid_sizes(sizes, 100, 10, 60)
 
 
+@pytest.mark.slow
 def test_sizes_sum_exact_many_seeds_default():
     p = default_params(1024)
     for seed in range(10_000):
@@ -197,6 +199,7 @@ def test_sizes_sum_exact_many_seeds_default():
         _assert_valid_sizes(sizes, 1024, 50, 181)
 
 
+@pytest.mark.slow
 def test_sizes_sum_exact_large_n():
     p = default_params(100_000)
     for seed in range(300):
