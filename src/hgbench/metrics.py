@@ -2,8 +2,8 @@
 
 The functions read the hypergraph and a node partition and return numbers
 or plain data.  They change neither, but they leave two memos on the
-hypergraph for later calls: ``census`` keeps its last census, and scoring
-builds the size-class layout that ``Hypergraph.size_classes`` keeps.
+hypergraph for later calls: ``census`` keeps node rows and its last census,
+and scoring builds the size-class layout that ``Hypergraph.size_classes`` keeps.
 Partitions are given as an integer label per node; labels are normalized
 internally, so any labeling scheme works.
 """
@@ -94,6 +94,7 @@ class Census:
     parts: np.ndarray          # part of every node
     slot_volume: np.ndarray    # member slots per part
     counts: np.ndarray
+    rows: list                 # (d, node rows) per size class; see Hypergraph.size_classes
 
     def hypergraph_modularity(self, u: WeightMatrix) -> float:
         """See the module-level ``hypergraph_modularity``."""
@@ -141,17 +142,16 @@ class Census:
         members adds D - 1 to its part's volume."""
         internal = total = 0
         volume = np.zeros(len(self.slot_volume))
-        for d, slots in self.hg.size_classes():
-            nodes = self.hg.members[slots]
+        for d, nodes in self.rows:
             first = np.ones(nodes.shape, dtype=bool)   # slots are sorted per edge
             first[1:] = nodes[1:] != nodes[:-1]
-            distinct = first.sum(axis=0)
-            total += int((distinct * (distinct - 1) // 2).sum())
+            gain = first.sum(axis=0) - 1   # distinct members less one
+            total += int((gain * (gain + 1) // 2).sum())
             # a repeated slot gets a label no part has, so it pairs with nothing
             labels = np.where(first, self.parts[nodes], -1 - np.arange(d, dtype=np.int32)[:, None])
             internal += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
-            gain = np.broadcast_to(distinct - 1, labels.shape)[first]
-            volume += np.bincount(labels[first], weights=gain, minlength=len(volume))
+            for row, keep in zip(labels, first):   # row by row: one row's temporaries at a time
+                volume += np.bincount(row[keep], weights=gain[keep], minlength=len(volume))
         if total == 0:
             raise UndefinedInputError("graph modularity needs at least one edge")
         return float(internal / total - ((volume / (2 * total)) ** 2).sum())
@@ -161,37 +161,45 @@ def census(hg: Hypergraph, partition) -> Census:
     """Composition census of hg under a node partition (one label per node).
 
     Hypergraph modularity depends on the edges only through the counts and
-    the part volumes, so one census serves every valuation.  hg keeps its
-    last census and copies of the ``members`` and labels it counted, and
-    hands it out again, read-only, while ``offsets`` is the same array and
-    ``members`` and the labels (in the same dtype) are equal.
+    the part volumes, so one census serves every valuation.  hg keeps a
+    two-level memo.  While ``offsets`` is the same array and ``members``
+    equals a kept copy, it keeps that copy, the node rows of every size class
+    and the node degrees: 8 bytes per member slot and per node.  While the
+    labels (in the same dtype) are equal too, it hands out its last census
+    again, read-only.  A new partition costs one label gather and the vote.
     """
     labels = partition.member_of if isinstance(partition, CommunityAssignment) else np.asarray(partition)
-    kept = hg._census
+    kept, counted = hg._census or (None, None)
+    if not (kept is not None and kept[0] is hg.offsets and np.array_equal(kept[1], hg.members)):
+        hg._census = kept = counted = None   # free the old copies first
+        copy = hg.members.copy()
+        kept = (hg.offsets, copy, [(d, copy[slots]) for d, slots in hg.size_classes()], hg.degrees())
+        for _, nodes in kept[2]:
+            nodes.flags.writeable = False
     # as floats, distinct int64 labels can compare equal, so the dtypes must match too
-    if not (kept is not None and kept[0] is hg.offsets and np.array_equal(kept[1], hg.members)
-            and kept[2].dtype == labels.dtype and np.array_equal(kept[2], labels)):
-        hg._census = None   # free the old copies first
-        arrays = _count_compositions(hg, labels)
+    if not (counted is not None and counted[0].dtype == labels.dtype and np.array_equal(counted[0], labels)):
+        arrays = _count_compositions(hg.n, *kept[2:], labels)
         for arr in arrays:
             arr.flags.writeable = False
-        kept = hg._census = (hg.offsets, hg.members.copy(), labels.copy(), *arrays)
-    return Census(hg, *kept[3:])
+        counted = (labels.copy(), *arrays)
+    hg._census = (kept, counted)
+    return Census(hg, *counted[1:], kept[2])
 
 
-def _count_compositions(hg: Hypergraph, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _count_compositions(n: int, rows: list, degree: np.ndarray,
+                        partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The part of every node, the member slots per part and the counts.
 
     Per size class, a Boyer-Moore vote down the slot positions leaves each
     edge's only possible majority part as candidate; counting the
-    candidate's slots settles it, with no sort.
+    candidate's slots settles it, with no sort.  A part's slots are its
+    nodes' degrees summed; as floats the sums are exact below 2**53.
     """
-    parts, k = _normalize_partition(partition, hg.n)
-    top = int(hg.sizes().max(initial=0))
+    parts, k = _normalize_partition(partition, n)
+    top = rows[-1][0] if rows else 0
     counts = np.zeros((top + 1, top + 1), dtype=np.int64)
-    volume = np.zeros(k, dtype=np.int64)
-    for d, slots in hg.size_classes():
-        labels = parts[hg.members[slots]]
+    for d, nodes in rows:
+        labels = parts[nodes]
         cand = labels[0].copy()
         # the narrowest signed counter that holds -d - 1 .. d
         votes = np.ones(len(cand), dtype=np.min_scalar_type(-d - 1))
@@ -199,8 +207,10 @@ def _count_compositions(hg: Hypergraph, partition) -> tuple[np.ndarray, np.ndarr
             np.copyto(cand, row, where=votes == 0)
             votes += (row == cand).view(np.int8) * 2 - 1
         hits = (labels == cand).sum(axis=0, dtype=votes.dtype)
-        counts[d, : d + 1] = np.bincount(np.where(hits > d // 2, hits, 0), minlength=d + 1)
-        volume += np.bincount(labels.ravel(), minlength=k)
+        for c in range(lowest_majority_count(d), d + 1):
+            counts[d, c] = np.count_nonzero(hits == c)
+        counts[d, 0] = len(hits) - counts[d].sum()
+    volume = np.bincount(parts, weights=degree, minlength=k).astype(np.int64)
     return parts, volume, counts
 
 

@@ -1,5 +1,6 @@
 """Closed-form modularity oracles, histogram cases, and CCDF sanity."""
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -189,15 +190,51 @@ class TestCensusMemo:
 
     def test_one_walk_per_partition_scored_every_way(self, case, monkeypatch):
         hg, labels = case
-        walks = []
+        walks, layouts = [], []
+        count = metrics._count_compositions
+        monkeypatch.setattr(metrics, "_count_compositions",
+                            lambda *args: walks.append(1) or count(*args))
         size_classes = Hypergraph.size_classes
         monkeypatch.setattr(Hypergraph, "size_classes",
-                            lambda self: walks.append(1) or size_classes(self))
+                            lambda self: layouts.append(1) or size_classes(self))
         for n_walks, partition in enumerate((labels, labels // 2), start=1):
             for name in WEIGHT_MODELS:
                 hypergraph_modularity(hg, partition, modularity_weights(name, 5))
             type_histogram(hg, partition)
+            census(hg, partition).pairwise_modularity()
             assert len(walks) == n_walks
+        # the node rows are gathered once and serve both partitions
+        assert len(layouts) == 1
+
+    @pytest.mark.parametrize("change", ["members written", "offsets replaced"])
+    def test_rows_follow_the_hypergraph_between_partitions(self, case, change):
+        # the kept node rows outlive a partition; a change to hg must reach the next one
+        hg, labels = case
+        census(hg, labels)
+        if change == "members written":
+            hg.members[:] = np.random.default_rng(6).permutation(hg.members)
+            hg.sort_members()
+        else:
+            # split off the first slot of every edge
+            hg.offsets = np.union1d(hg.offsets, hg.offsets[:-1] + 1)
+        assert_scores_like_a_fresh_copy(hg, labels // 2)
+
+    def test_memo_holds_rows_degrees_labels_and_results(self, case):
+        # numpy reports its buffers to tracemalloc, so what stays allocated
+        # after the census is dropped is what hg keeps
+        hg, labels = case
+        hg.size_classes()   # the layout is a memo of its own
+        # numpy's one-time caches fill on a copy first
+        census(Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy()), labels)
+        tracemalloc.start()
+        try:
+            cen = census(hg, labels)
+            results = sum(getattr(cen, name).nbytes for name in ("parts", "slot_volume", "counts"))
+            del cen
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * hg.volume + 8 * hg.n + labels.nbytes + results + 4096
 
     def test_repeat_scores_like_a_fresh_copy(self, case):
         hg, labels = case
