@@ -1,11 +1,10 @@
 """Evaluation metrics: 2-section graph, modularity family, type histograms, CCDF tables.
 
 The functions read the hypergraph and a node partition and return numbers
-or plain data.  They change neither, but they leave two memos on the
-hypergraph for later calls: ``census`` keeps node rows and its last census,
-and scoring builds the size-class layout that ``Hypergraph.size_classes`` keeps.
-Partitions are given as an integer label per node; labels are normalized
-internally, so any labeling scheme works.
+or plain data.  They change neither, but ``census`` leaves a memo on the
+hypergraph for later calls: its node rows and its last census.  Partitions
+are given as an integer label per node; labels are normalized internally,
+so any labeling scheme works.
 """
 from __future__ import annotations
 
@@ -90,7 +89,8 @@ class Census:
     counts the size-d edges whose largest part holds c > d/2 slots, and
     counts[d, 0] those without a strict majority."""
 
-    hg: Hypergraph
+    edge_count: int
+    volume: int                # member slots of the hypergraph
     parts: np.ndarray          # part of every node
     slot_volume: np.ndarray    # member slots per part
     counts: np.ndarray
@@ -98,10 +98,9 @@ class Census:
 
     def hypergraph_modularity(self, u: WeightMatrix) -> float:
         """See the module-level ``hypergraph_modularity``."""
-        hg = self.hg
-        if hg.edge_count == 0:
+        if self.edge_count == 0:
             raise UndefinedInputError("hypergraph modularity needs at least one edge")
-        p = self.slot_volume.astype(np.float64) / hg.volume
+        p = self.slot_volume.astype(np.float64) / self.volume
         with np.errstate(divide="ignore"):
             log_p, log_q = np.log(p), np.log1p(-p)
         total = 0.0
@@ -123,7 +122,7 @@ class Census:
                 else:
                     logpmf = log_choose[c - lo] + c * log_p + (d - c) * log_q
                     null = float(np.exp(logpmf).sum())
-                total += ucd * (int(self.counts[d, c]) - edge_total * null) / hg.edge_count
+                total += ucd * (int(self.counts[d, c]) - edge_total * null) / self.edge_count
         return float(total)
 
     def type_histogram(self) -> dict[tuple[int, int], int]:
@@ -165,8 +164,10 @@ def census(hg: Hypergraph, partition) -> Census:
     two-level memo.  While ``offsets`` is the same array and ``members``
     equals a kept copy, it keeps that copy, the node rows of every size class
     and the node degrees: 8 bytes per member slot and per node.  While the
-    labels (in the same dtype) are equal too, it hands out its last census
-    again, read-only.  A new partition costs one label gather and the vote.
+    labels (in the same dtype) are equal too, it hands out the arrays of its
+    last census again, read-only.  A new partition costs one label gather
+    and the vote.  A census keeps the edge count and volume it was taken
+    at, not hg, so a later change to hg leaves it as it was.
     """
     labels = partition.member_of if isinstance(partition, CommunityAssignment) else np.asarray(partition)
     kept, counted = hg._census or (None, None)
@@ -183,7 +184,7 @@ def census(hg: Hypergraph, partition) -> Census:
             arr.flags.writeable = False
         counted = (labels.copy(), *arrays)
     hg._census = (kept, counted)
-    return Census(hg, *counted[1:], kept[2])
+    return Census(hg.edge_count, hg.volume, *counted[1:], kept[2])
 
 
 def _count_compositions(n: int, rows: list, degree: np.ndarray,

@@ -127,15 +127,18 @@ def _classify(hg: Hypergraph):
     hash collision cannot split or merge copies.  Generation makes no empty
     edge, and the repair cannot change one, so one is refused.
     """
-    if not hg.sizes().all():
+    sizes = hg.sizes()
+    if not sizes.all():
         raise ValueError("cannot repair a hypergraph with an empty edge")
+    widest = int(sizes.max(initial=0))
+    sizes = sizes.astype(np.min_scalar_type(widest))   # one byte per edge while sizes fit
     bad = np.empty(hg.edge_count, dtype=bool)
     hashes = np.empty(hg.edge_count, dtype=np.int64)
     for d, slots in hg.size_classes():
-        edges = np.flatnonzero(hg.sizes() == d)
+        in_class = sizes == d
         block = hg.members[slots]   # column i: the i-th size-d edge, sorted
-        bad[edges] = (block[1:] == block[:-1]).any(axis=0)
-        hashes[edges] = _hash_rows(block.T)
+        bad[in_class] = (block[1:] == block[:-1]).any(axis=0)
+        hashes[in_class] = _hash_rows(block.T)
     bits = max(1, (hg.edge_count - 1).bit_length())
     keys = _pack(hashes, np.arange(hg.edge_count, dtype=np.int32), bits)[~bad]
     del hashes
@@ -143,7 +146,7 @@ def _classify(hg: Hypergraph):
     tie = np.flatnonzero(((keys[1:] ^ keys[:-1]) >> bits) == 0)
     if len(tie):
         runs = keys[np.union1d(tie, tie + 1)] & ((1 << bits) - 1)
-        bad[runs[_later_copies(_rows(hg, runs, d), runs)]] = True   # d: the widest size
+        bad[runs[_later_copies(_rows(hg, runs, widest), runs)]] = True
     return bad, RowTable(hg, keys, bits)
 
 
@@ -200,7 +203,7 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     queue = np.flatnonzero(bad)
     if not len(queue):
         return 0
-    width = hg.size_classes()[-1][0]
+    width = int(hg.sizes().max())
     groups = hg.origins - ORIGIN_SINGLETON   # singletons, background, then communities
     # edge ids ordered by group, then id.  The stable sort is fast because
     # origins come in a few long runs: generate lays out singletons, then

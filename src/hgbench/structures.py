@@ -54,8 +54,6 @@ class Hypergraph:
     offsets: np.ndarray   # int64, length edge_count + 1, offsets[0] == 0
     members: np.ndarray   # int32, length offsets[-1]
     origins: np.ndarray   # int32 per edge
-    # (offsets it was built from, size classes); see size_classes
-    _layout: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # arrays of the last census and of what it was taken from; see metrics.census
     _census: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -88,19 +86,13 @@ class Hypergraph:
 
         slots[j, i] indexes into ``members`` the j-th slot of the i-th
         size-d edge, so ``members[slots]`` holds one slot position per row.
-        The layout depends on ``offsets`` alone, so it is built once and kept
-        (int32 while the slots fit) until ``offsets`` is replaced; it holds
-        nothing of ``members``, which the repair permutes in place.  Every
-        caller gets the same blocks, so none may write to them.
+        The blocks are int32 while the slots fit, and built anew on every call.
         """
-        if self._layout is None or self._layout[0] is not self.offsets:
-            sizes = self.sizes()
-            dtype = np.int32 if self.volume <= np.iinfo(np.int32).max else np.int64
-            starts = self.offsets[:-1].astype(dtype)
-            classes = [(int(d), starts[sizes == d] + np.arange(d, dtype=dtype)[:, None])
-                       for d in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
-            self._layout = (self.offsets, classes)
-        return self._layout[1]
+        sizes = self.sizes()
+        dtype = np.int32 if self.volume <= np.iinfo(np.int32).max else np.int64
+        starts = self.offsets[:-1].astype(dtype)
+        return [(int(d), starts[sizes == d] + np.arange(d, dtype=dtype)[:, None])
+                for d in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
 
     def sort_members(self) -> None:
         """Sort member slots ascending within every edge, in place.

@@ -147,8 +147,8 @@ class TestCensusEquivalence:
             assert cen.hypergraph_modularity(u) == reference_hypergraph_modularity(hg, labels, u)
 
 
-    def test_layout_cached_before_rewire_scores_like_a_fresh_copy(self):
-        # the repair permutes members in place; the cached layout must not go stale
+    def test_census_kept_before_rewire_scores_like_a_fresh_copy(self):
+        # the repair permutes members in place; the kept census must not go stale
         hg = generate(default_params(2000, seed=4, simple=False)).hypergraph
         labels = np.random.default_rng(4).integers(0, 40, size=hg.n)
         census(hg, labels)
@@ -168,7 +168,7 @@ class TestCensusEquivalence:
 
 def assert_scores_like_a_fresh_copy(hg, labels):
     """Every census output of hg equals that of a new hypergraph built from
-    copies of its arrays, which has no kept census or layout."""
+    copies of its arrays, which has no kept census."""
     fresh = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
     labels_copy = np.array(getattr(labels, "member_of", labels))
     got, want = census(hg, labels), census(fresh, labels_copy)
@@ -223,7 +223,6 @@ class TestCensusMemo:
         # numpy reports its buffers to tracemalloc, so what stays allocated
         # after the census is dropped is what hg keeps
         hg, labels = case
-        hg.size_classes()   # the layout is a memo of its own
         # numpy's one-time caches fill on a copy first
         census(Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy()), labels)
         tracemalloc.start()
@@ -264,6 +263,15 @@ class TestCensusMemo:
         hg.offsets = np.array([0, 4])   # the same slots as one edge of size 4
         assert type_histogram(hg, labels) == {(0, 4): 1, (3, 4): 0, (4, 4): 0}
         assert_scores_like_a_fresh_copy(hg, labels)
+
+    def test_census_keeps_its_score_after_hg_changes(self):
+        hg = hg_from(4, [[0, 1], [2, 3]])
+        cen = census(hg, [0, 0, 1, 1])
+        strict = modularity_weights("strict", 4)
+        assert cen.hypergraph_modularity(strict) == 0.5
+        hg.offsets = np.array([0, 4])   # the same slots as one edge of size 4
+        assert cen.hypergraph_modularity(strict) == 0.5
+        assert not any(isinstance(value, Hypergraph) for value in vars(cen).values())
 
     def test_equal_labels_of_any_dtype_or_container_score_alike(self, case):
         hg, labels = case

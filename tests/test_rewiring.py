@@ -1,4 +1,6 @@
 """Repair-loop unit oracles and end-to-end simplicity checks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,21 @@ class TestOnGeneratedGraphs:
         flatten_hashes(monkeypatch)
         assert rewire(b.hypergraph, np.random.default_rng(42)) == 0
         assert (a.hypergraph.members == b.hypergraph.members).all()
+
+    def test_keeps_nothing_after_it_returns(self):
+        # numpy reports its buffers to tracemalloc, so what stays allocated
+        # after rewire returns is what it leaves behind
+        hg = generate(default_params(2000, seed=6, simple=False)).hypergraph
+        warm = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
+        assert rewire(warm, np.random.default_rng(6)) == 0   # numpy's one-time caches
+        assert classify_output(hg) != (False, False)
+        tracemalloc.start()
+        try:
+            assert rewire(hg, np.random.default_rng(6)) == 0
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < hg.volume   # under 1 byte per member slot
 
     @pytest.mark.slow
     def test_simple_outputs_across_seeds(self):

@@ -82,22 +82,18 @@ class TestFromEdgeLists:
 
 
 class TestSizeClasses:
-    def test_layout_is_cached_until_offsets_are_replaced(self):
+    def test_blocks_follow_offsets(self):
         hg = Hypergraph.from_edge_lists(6, [[0, 1], [2, 3, 4], [5, 0], [1]])
         layout = hg.size_classes()
         assert [(d, slots.tolist()) for d, slots in layout] == [
             (1, [[7]]), (2, [[0, 5], [1, 6]]), (3, [[2], [3], [4]])]
         assert all(slots.dtype == np.int32 for _, slots in layout)
-        assert hg.size_classes() is layout
+        layout[1][1][...] = 0   # each call builds its own blocks
+        assert hg.size_classes()[1][1].tolist() == [[0, 5], [1, 6]]
 
         hg.offsets = np.array([0, 4, 8], dtype=np.int64)
-        rebuilt = hg.size_classes()
-        assert [(d, slots.tolist()) for d, slots in rebuilt] == [
+        assert [(d, slots.tolist()) for d, slots in hg.size_classes()] == [
             (4, [[0, 4], [1, 5], [2, 6], [3, 7]])]
-        hg.offsets = hg.offsets.copy()   # equal values, but a new array
-        assert hg.size_classes() is not rebuilt
-        assert [slots.tolist() for _, slots in hg.size_classes()] == [
-            slots.tolist() for _, slots in rebuilt]
 
 
 def size_runs_reference(offsets):
