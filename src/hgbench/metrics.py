@@ -47,7 +47,7 @@ class TwoSection:
     pair_u: np.ndarray
     pair_v: np.ndarray
     weight: np.ndarray
-    degree: np.ndarray        # weighted degree per node
+    degree: np.ndarray        # weighted degree per node, float64 even with no pair
     total_weight: int
 
 
@@ -66,18 +66,20 @@ def two_section(hg: Hypergraph) -> TwoSection:
     key = np.concatenate(us) * hg.n + np.concatenate(vs)
     uniq, weight = np.unique(key, return_counts=True)
     pair_u, pair_v = uniq // hg.n, uniq % hg.n
-    degree = (np.bincount(pair_u, weights=weight, minlength=hg.n)
-              + np.bincount(pair_v, weights=weight, minlength=hg.n))
+    degree = np.add(np.bincount(pair_u, weights=weight, minlength=hg.n),
+                    np.bincount(pair_v, weights=weight, minlength=hg.n), dtype=np.float64)
     return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()))
 
 
 def graph_modularity(graph: TwoSection, partition) -> float:
-    """Within-part edge fraction minus the squared volume fractions."""
+    """Within-part edge fraction minus the squared volume fractions (labels gathered narrow)."""
     if graph.total_weight == 0:
         raise UndefinedInputError("graph modularity needs at least one edge")
     parts, k = _normalize_partition(partition, graph.n)
-    same = parts[graph.pair_u] == parts[graph.pair_v]
-    internal = int(np.dot(same, graph.weight)) / graph.total_weight
+    narrow = parts.astype(np.min_scalar_type(k - 1))   # uint8 up to 256 parts
+    same = np.take(narrow, graph.pair_u) == np.take(narrow, graph.pair_v)
+    # exact, and with no pair-long int64 copy of the mask as np.dot makes
+    internal = int(np.einsum("i,i->", graph.weight, same.view(np.uint8))) / graph.total_weight
     vol_part = np.bincount(parts, weights=graph.degree, minlength=k)
     tax = ((vol_part / graph.degree.sum()) ** 2).sum()
     return float(internal - tax)
@@ -138,19 +140,21 @@ class Census:
     def pairwise_modularity(self) -> float:
         """``graph_modularity(two_section(hg), partition)``, bit for bit, from
         integer pair totals; each distinct member of an edge with D distinct
-        members adds D - 1 to its part's volume."""
+        members adds D - 1 to its part's volume.  Labels are gathered narrow."""
         internal = total = 0
-        volume = np.zeros(len(self.slot_volume))
+        k = len(self.slot_volume)
+        volume = np.zeros(k)
+        narrow = self.parts.astype(np.min_scalar_type(k + len(self.counts)))   # k + d fits
         for d, nodes in self.rows:
             first = np.ones(nodes.shape, dtype=bool)   # slots are sorted per edge
             first[1:] = nodes[1:] != nodes[:-1]
             gain = first.sum(axis=0) - 1   # distinct members less one
             total += int((gain * (gain + 1) // 2).sum())
             # a repeated slot gets a label no part has, so it pairs with nothing
-            labels = np.where(first, self.parts[nodes], -1 - np.arange(d, dtype=np.int32)[:, None])
+            labels = np.where(first, narrow[nodes], k + np.arange(d, dtype=narrow.dtype)[:, None])
             internal += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
             for row, keep in zip(labels, first):   # row by row: one row's temporaries at a time
-                volume += np.bincount(row[keep], weights=gain[keep], minlength=len(volume))
+                volume += np.bincount(row[keep], weights=gain[keep], minlength=k)
         if total == 0:
             raise UndefinedInputError("graph modularity needs at least one edge")
         return float(internal / total - ((volume / (2 * total)) ** 2).sum())
@@ -193,21 +197,25 @@ def _count_compositions(n: int, rows: list, degree: np.ndarray,
 
     Per size class, a Boyer-Moore vote down the slot positions leaves each
     edge's only possible majority part as candidate; counting the
-    candidate's slots settles it, with no sort.  A part's slots are its
-    nodes' degrees summed; as floats the sums are exact below 2**53.
+    candidate's slots settles it, with no sort.  Labels are gathered narrow.
+    A part's slots are its nodes' degrees summed; as floats the sums are
+    exact below 2**53.
     """
     parts, k = _normalize_partition(partition, n)
+    narrow = parts.astype(np.min_scalar_type(k - 1))
     top = rows[-1][0] if rows else 0
     counts = np.zeros((top + 1, top + 1), dtype=np.int64)
     for d, nodes in rows:
-        labels = parts[nodes]
+        labels = narrow[nodes]   # np.take would first copy the int32 rows to intp
         cand = labels[0].copy()
-        # the narrowest signed counter that holds -d - 1 .. d
-        votes = np.ones(len(cand), dtype=np.min_scalar_type(-d - 1))
-        for row in labels[1:]:
-            np.copyto(cand, row, where=votes == 0)
-            votes += (row == cand).view(np.int8) * 2 - 1
-        hits = (labels == cand).sum(axis=0, dtype=votes.dtype)
+        # after i rows the vote is 2 * matches - i, so it can be 0 only at even i
+        matches = np.ones(len(cand), dtype=np.min_scalar_type(d))
+        hit = np.empty(len(cand), dtype=bool)
+        for i, row in enumerate(labels[1:], start=1):
+            if i % 2 == 0:
+                np.copyto(cand, row, where=np.equal(matches, i // 2, out=hit))
+            matches += np.equal(row, cand, out=hit)
+        hits = (labels == cand).sum(axis=0, dtype=matches.dtype)
         for c in range(lowest_majority_count(d), d + 1):
             counts[d, c] = np.count_nonzero(hits == c)
         counts[d, 0] = len(hits) - counts[d].sum()

@@ -320,6 +320,81 @@ class TestCensusMemo:
                 gc.enable()
 
 
+# uint8 holds 256 part ids, uint16 65,536; a fill label k + i needs room past k
+NARROW_PART_COUNTS = (252, 256, 257, 65_536, 65_537)
+
+
+@pytest.fixture(scope="module")
+def wide_hg():
+    """70,000 nodes: random edges of sizes 1-5, half of them drawn from a
+    window of three nodes so that slots repeat, plus edges across the nodes
+    k - 1 and k and edges of one repeated node."""
+    rng = np.random.default_rng(17)
+    n = 70_000
+    edges = []
+    for d in rng.integers(1, 6, size=40_000).tolist():
+        base = int(rng.integers(0, n - 3))
+        pool = (base, base + 3) if len(edges) % 2 else (0, n)
+        edges.append(rng.integers(*pool, size=d).tolist())
+    for k in NARROW_PART_COUNTS:
+        edges += [[k - 1, k], [k - 2, k - 1, k], [k - 1, k, k], [k - 1, k - 1, k, k, k]]
+    edges += [[1, 1], [2, 2, 2], [3, 3, 3, 3], [4, 4, 4, 4, 4]]
+    return hg_from(n, edges)
+
+
+class TestNarrowLabels:
+    @pytest.mark.parametrize("k", NARROW_PART_COUNTS)
+    def test_part_counts_at_the_dtype_boundaries(self, wide_hg, k):
+        hg = wide_hg
+        # node i is in part i mod k, so nodes k - 1 and k hold the highest and the lowest part
+        labels = np.arange(hg.n) % k
+        cen = census(hg, labels)
+        assert cen.parts.dtype == np.int32 and len(cen.slot_volume) == k
+        assert cen.pairwise_modularity() == graph_modularity(two_section(hg), labels)
+        want = reference_type_histogram(hg, labels)
+        assert cen.type_histogram() == want
+        assert type_histogram(hg, labels) == want
+        for name in WEIGHT_MODELS:
+            u = modularity_weights(name, 5)
+            expected = reference_hypergraph_modularity(hg, labels, u)
+            assert cen.hypergraph_modularity(u) == expected
+            assert hypergraph_modularity(hg, labels, u) == expected
+
+    @pytest.fixture
+    def one_size(self):
+        # one size class, so the class's slots are all the slots
+        rng = np.random.default_rng(9)
+        n, m, d = 1000, 40_000, 5
+        hg = Hypergraph.from_sizes(n, np.full(m, d), rng.integers(0, n, size=m * d), np.zeros(m))
+        return hg, rng.integers(0, 200, size=n), rng.integers(0, 200, size=n)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_graph_modularity_peak_per_pair(self, one_size):
+        # one byte per pair for each label gather and one for the mask; the
+        # int32 gathers, and later np.dot's int64 copy of the mask, each took 9
+        hg, first, second = one_size
+        graph = two_section(hg)
+        graph_modularity(graph, first)   # numpy's one-time caches
+        peak = self.traced_peak(lambda: graph_modularity(graph, second))
+        assert peak <= 4 * len(graph.pair_u) + 16 * hg.n + 65536
+
+    def test_fresh_partition_census_peak_per_slot(self, one_size):
+        # one byte per slot for the gathered labels and one for the match
+        # mask; the int32 gather took four for the labels
+        hg, first, second = one_size
+        census(hg, first)   # the memo keeps the rows; numpy's caches fill
+        peak = self.traced_peak(lambda: census(hg, second))
+        assert peak <= 3.5 * hg.volume + 24 * hg.n + 65536
+
+
 def label_cases(n):
     """(labels, takes the dense path) for n nodes, named; the dense path needs
     integer labels spanning fewer than 2n values."""
@@ -378,6 +453,12 @@ class TestTwoSection:
         ts = two_section(hg_from(3, []))
         assert ts.total_weight == 0
         assert (ts.degree == 0).all()
+
+    @pytest.mark.parametrize("edges", [[], [[0]], [[0, 0]], [[0, 1]]])
+    def test_degrees_are_float64_with_or_without_pairs(self, edges):
+        ts = two_section(hg_from(3, edges))
+        assert ts.degree.dtype == np.float64
+        assert ts.degree.tolist() == ([1, 1, 0] if edges == [[0, 1]] else [0, 0, 0])
 
     def test_degrees_are_weighted(self):
         ts = two_section(hg_from(4, [[0, 1], [0, 1], [0, 2]]))
