@@ -18,6 +18,8 @@ from .errors import UndefinedInputError
 from .sampling import truncated_power_law
 from .structures import CommunityAssignment, Hypergraph
 
+GATHER_CHUNK = 1 << 15   # indices per np.take call in _gather: its intp copy of them is 256 KiB
+
 
 def _normalize_partition(labels, n: int):
     """Contiguous 0-based part labels in sorted label order, plus the part count."""
@@ -49,11 +51,12 @@ class TwoSection:
     weight: np.ndarray
     degree: np.ndarray        # weighted degree per node, float64 even with no pair
     total_weight: int
+    heavy: np.ndarray         # int64 indices of the pairs with weight above 1
 
 
 def two_section(hg: Hypergraph) -> TwoSection:
     """Clique expansion of the hypergraph; each deduplicated edge gives unit pairs."""
-    # int64 seeds: the key below cannot overflow, and no pairs is no error
+    # int64 seeds: no pairs is no error, and ids below 2**31 pack as (u << 32) | v in (u, v) order
     us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for d, slots in hg.size_classes():
         rows = hg.members[slots]
@@ -63,12 +66,12 @@ def two_section(hg: Hypergraph) -> TwoSection:
         sel = firsts[i] & firsts[j]
         us.append(rows[i][sel])
         vs.append(rows[j][sel])
-    key = np.concatenate(us) * hg.n + np.concatenate(vs)
+    key = np.concatenate(us) << 32 | np.concatenate(vs)
     uniq, weight = np.unique(key, return_counts=True)
-    pair_u, pair_v = uniq // hg.n, uniq % hg.n
+    pair_u, pair_v = uniq >> 32, uniq & 0xFFFFFFFF
     degree = np.add(np.bincount(pair_u, weights=weight, minlength=hg.n),
                     np.bincount(pair_v, weights=weight, minlength=hg.n), dtype=np.float64)
-    return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()))
+    return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()), np.flatnonzero(weight > 1))
 
 
 def graph_modularity(graph: TwoSection, partition) -> float:
@@ -78,11 +81,12 @@ def graph_modularity(graph: TwoSection, partition) -> float:
     parts, k = _normalize_partition(partition, graph.n)
     narrow = parts.astype(np.min_scalar_type(k - 1))   # uint8 up to 256 parts
     same = np.take(narrow, graph.pair_u) == np.take(narrow, graph.pair_v)
-    # exact, and with no pair-long int64 copy of the mask as np.dot makes
-    internal = int(np.einsum("i,i->", graph.weight, same.view(np.uint8))) / graph.total_weight
+    on, internal = same[graph.heavy], np.count_nonzero(same)   # weights are 1 but at heavy pairs
+    del same   # freed before the heavy weights are gathered
+    internal += int(np.einsum("i,i->", graph.weight[graph.heavy], on.view(np.uint8))) - np.count_nonzero(on)
     vol_part = np.bincount(parts, weights=graph.degree, minlength=k)
     tax = ((vol_part / graph.degree.sum()) ** 2).sum()
-    return float(internal - tax)
+    return float(internal / graph.total_weight - tax)
 
 
 @dataclass
@@ -151,7 +155,7 @@ class Census:
             gain = first.sum(axis=0) - 1   # distinct members less one
             total += int((gain * (gain + 1) // 2).sum())
             # a repeated slot gets a label no part has, so it pairs with nothing
-            labels = np.where(first, narrow[nodes], k + np.arange(d, dtype=narrow.dtype)[:, None])
+            labels = np.where(first, _gather(narrow, nodes), k + np.arange(d, dtype=narrow.dtype)[:, None])
             internal += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
             for row, keep in zip(labels, first):   # row by row: one row's temporaries at a time
                 volume += np.bincount(row[keep], weights=gain[keep], minlength=k)
@@ -175,20 +179,40 @@ def census(hg: Hypergraph, partition) -> Census:
     """
     labels = partition.member_of if isinstance(partition, CommunityAssignment) else np.asarray(partition)
     kept, counted = hg._census or (None, None)
-    if not (kept is not None and kept[0] is hg.offsets and np.array_equal(kept[1], hg.members)):
+    if not (kept is not None and kept[0] is hg.offsets and _same_values(kept[1], hg.members)):
         hg._census = kept = counted = None   # free the old copies first
         copy = hg.members.copy()
         kept = (hg.offsets, copy, [(d, copy[slots]) for d, slots in hg.size_classes()], hg.degrees())
         for _, nodes in kept[2]:
             nodes.flags.writeable = False
-    # as floats, distinct int64 labels can compare equal, so the dtypes must match too
-    if not (counted is not None and counted[0].dtype == labels.dtype and np.array_equal(counted[0], labels)):
+    if not (counted is not None and _same_values(counted[0], labels)):
         arrays = _count_compositions(hg.n, *kept[2:], labels)
         for arr in arrays:
             arr.flags.writeable = False
         counted = (labels.copy(), *arrays)
     hg._census = (kept, counted)
     return Census(hg.edge_count, hg.volume, *counted[1:], kept[2])
+
+
+def _same_values(kept: np.ndarray, arr: np.ndarray) -> bool:
+    """Whether arr equals the kept copy in shape, dtype (as floats, distinct int64 labels can
+    compare equal) and values; int32 compares as int64 views of the even prefix, then the tail."""
+    if kept.shape != arr.shape or kept.dtype != arr.dtype:
+        return False
+    if kept.dtype != np.int32 or arr.ndim != 1 or not arr.flags.c_contiguous:
+        return bool(np.array_equal(kept, arr))
+    even = len(arr) & ~1
+    return bool(np.array_equal(kept[:even].view(np.int64), arr[:even].view(np.int64))
+                and np.array_equal(kept[even:], arr[even:]))
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` by chunked np.take: faster than fancy indexing, no index-long intp copy."""
+    out = np.empty(index.shape, dtype=table.dtype)
+    flat, dest = index.reshape(-1), out.reshape(-1)
+    for start in range(0, len(flat), GATHER_CHUNK):
+        np.take(table, flat[start: start + GATHER_CHUNK], out=dest[start: start + GATHER_CHUNK])
+    return out
 
 
 def _count_compositions(n: int, rows: list, degree: np.ndarray,
@@ -206,7 +230,7 @@ def _count_compositions(n: int, rows: list, degree: np.ndarray,
     top = rows[-1][0] if rows else 0
     counts = np.zeros((top + 1, top + 1), dtype=np.int64)
     for d, nodes in rows:
-        labels = narrow[nodes]   # np.take would first copy the int32 rows to intp
+        labels = _gather(narrow, nodes)
         cand = labels[0].copy()
         # after i rows the vote is 2 * matches - i, so it can be 0 only at even i
         matches = np.ones(len(cand), dtype=np.min_scalar_type(d))
@@ -214,7 +238,8 @@ def _count_compositions(n: int, rows: list, degree: np.ndarray,
         for i, row in enumerate(labels[1:], start=1):
             if i % 2 == 0:
                 np.copyto(cand, row, where=np.equal(matches, i // 2, out=hit))
-            matches += np.equal(row, cand, out=hit)
+            if i < d - 1:   # the last row's matches are recounted below
+                matches += np.equal(row, cand, out=hit)
         hits = (labels == cand).sum(axis=0, dtype=matches.dtype)
         for c in range(lowest_majority_count(d), d + 1):
             counts[d, c] = np.count_nonzero(hits == c)

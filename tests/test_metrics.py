@@ -256,6 +256,28 @@ class TestCensusMemo:
         assert type_histogram(hg, labels)[(3, 3)] == 2
         assert_scores_like_a_fresh_copy(hg, labels)
 
+    def test_odd_volume_last_slot_written_recounts(self):
+        # the kept copy is compared 8 bytes at a time, so an odd last slot is the tail
+        hg = hg_from(6, [[0, 1], [2, 3, 4]])
+        labels = [0, 0, 1, 1, 1, 0]
+        assert hg.volume % 2 == 1
+        assert type_histogram(hg, labels)[(3, 3)] == 1
+        hg.members[-1] = 5   # edge 1 is now [2, 3, 5]: two slots in part 1
+        assert type_histogram(hg, labels)[(3, 3)] == 0
+        assert_scores_like_a_fresh_copy(hg, labels)
+
+    def test_unaligned_members_score_like_a_fresh_copy(self, case):
+        hg, labels = case
+        census(hg, labels)
+        buffer = np.empty(hg.volume + 1, dtype=np.int32)
+        buffer[1:] = hg.members
+        hg.members = buffer[1:]   # 4 bytes past an aligned start: equal values, new array
+        assert not hg.members[:2].view(np.int64).flags.aligned
+        assert_scores_like_a_fresh_copy(hg, labels)
+        hg.members[:] = np.random.default_rng(7).permutation(hg.members)
+        hg.sort_members()
+        assert_scores_like_a_fresh_copy(hg, labels)
+
     def test_replaced_offsets_recount(self):
         hg = hg_from(4, [[0, 1], [2, 3]])
         labels = [0, 0, 1, 1]
@@ -393,6 +415,70 @@ class TestNarrowLabels:
         census(hg, first)   # the memo keeps the rows; numpy's caches fill
         peak = self.traced_peak(lambda: census(hg, second))
         assert peak <= 3.5 * hg.volume + 24 * hg.n + 65536
+
+
+class TestHeavyPairs:
+    """graph_modularity counts the same-part mask and reads weights only at
+    the heavy pairs, those of weight above 1."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # random edges over 70,010 nodes plus parallel pairs of weight 2, 300
+        # and 70,000; under labels i mod k each lies within one part for its own
+        # k, and the pair of weight 70,000 also for k = 200
+        rng = np.random.default_rng(18)
+        n = 70_010
+        edges = [rng.integers(0, n, size=d).tolist() for d in rng.integers(2, 5, size=20_000)]
+        edges += [[0, 200]] * 2 + [[1, 301]] * 300 + [[2, 70_002]] * 70_000
+        return two_section(hg_from(n, edges))
+
+    @staticmethod
+    def reference(graph, labels):
+        uniq, parts = np.unique(labels, return_inverse=True)
+        same = parts[graph.pair_u] == parts[graph.pair_v]
+        internal = int((graph.weight * same).sum()) / graph.total_weight
+        vol_part = np.bincount(parts, weights=graph.degree, minlength=len(uniq))
+        return float(internal - ((vol_part / graph.degree.sum()) ** 2).sum())
+
+    def test_heavy_indexes_the_pairs_above_weight_one(self, graph):
+        assert graph.heavy.dtype == np.int64
+        assert np.array_equal(graph.heavy, np.flatnonzero(graph.weight > 1))
+        assert {2, 300, 70_000} <= set(graph.weight[graph.heavy].tolist())
+
+    @pytest.mark.parametrize("k", [200, 300, 70_000])
+    def test_matches_the_full_weight_sum(self, graph, k):
+        labels = np.arange(graph.n) % k
+        assert graph_modularity(graph, labels) == self.reference(graph, labels)
+        labels = np.random.default_rng(k).integers(0, k, size=graph.n)
+        assert graph_modularity(graph, labels) == self.reference(graph, labels)
+
+    @pytest.mark.parametrize("edges", [[], [[0, 1]], [[0, 1, 2], [1, 3]], [[0, 0, 1], [1, 1]]])
+    def test_no_heavy_pair_when_no_pair_repeats(self, edges):
+        graph = two_section(hg_from(4, edges))
+        assert graph.heavy.dtype == np.int64 and len(graph.heavy) == 0
+
+    def test_pairs_keep_their_order_values_and_dtypes(self, graph):
+        # the (u << 32) | v key sorts as u * n + v did
+        key = graph.pair_u * graph.n + graph.pair_v
+        assert np.all(np.diff(key) > 0)
+        assert np.all(graph.pair_u < graph.pair_v) and graph.pair_v.max() < graph.n
+        for name in ("pair_u", "pair_v", "weight"):
+            assert getattr(graph, name).dtype == np.int64
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape", ["flat", "rows"])
+@pytest.mark.parametrize("length", [0, 1, metrics.GATHER_CHUNK - 1, metrics.GATHER_CHUNK,
+                                    metrics.GATHER_CHUNK + 1, 2 * metrics.GATHER_CHUNK + 3])
+def test_gather_equals_fancy_indexing(index_dtype, shape, length):
+    rng = np.random.default_rng(length)
+    for table in (rng.integers(0, 256, size=1000).astype(np.uint8),
+                  rng.integers(0, 2**16, size=70_000).astype(np.uint16)):
+        index = rng.integers(0, len(table), size=length if shape == "flat" else (3, length))
+        index = index.astype(index_dtype)
+        got = metrics._gather(table, index)
+        assert got.dtype == table.dtype and got.shape == index.shape
+        assert np.array_equal(got, table[index])
 
 
 def label_cases(n):
