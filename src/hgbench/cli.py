@@ -237,17 +237,15 @@ def write_edges_file(path: str, hg, seed: int) -> None:
     the reader skips, so the first one raises ValueError before the file is
     opened.
     """
-    sizes = hg.sizes()
-    empty = np.flatnonzero(sizes == 0)
+    empty = np.flatnonzero(hg.sizes() == 0)
     if len(empty):
         raise ValueError(f"edge {empty[0]} is empty; an edges file cannot hold an empty edge")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# hgbench {__version__} edges\n")
         handle.write(f"# nodes={hg.n} edges={hg.edge_count} seed={seed}\n")
-        for e0, e1 in itertools.pairwise(size_runs(hg.offsets)):
-            ids = hg.members[hg.offsets[e0]: hg.offsets[e1]] + 1
-            line = " ".join(["%d"] * int(sizes[e0])) + "\n"
-            handle.write((line * (e1 - e0)) % tuple(ids.tolist()))
+        for run in size_runs(hg.members, hg.offsets):
+            line = " ".join(["%d"] * run.shape[1]) + "\n"
+            handle.write((line * len(run)) % tuple((run + 1).ravel().tolist()))
 
 
 def write_assignment_file(path: str, assignment, seed: int) -> None:

@@ -1,10 +1,10 @@
 """Evaluation metrics: 2-section graph, modularity family, type histograms, CCDF tables.
 
 The functions read the hypergraph and a node partition and return numbers
-or plain data.  They change neither, but ``census`` leaves a memo on the
-hypergraph for later calls: its node rows and its last census.  Partitions
-are given as an integer label per node; labels are normalized internally,
-so any labeling scheme works.
+or plain data.  They change neither, but ``census`` leaves a memo (node
+rows and the last census) on the hypergraph and makes its ``offsets``
+read-only.  Partitions are given as an integer label per node; labels are
+normalized internally, so any labeling scheme works.
 """
 from __future__ import annotations
 
@@ -58,8 +58,7 @@ def two_section(hg: Hypergraph) -> TwoSection:
     """Clique expansion of the hypergraph; each deduplicated edge gives unit pairs."""
     # int64 seeds: no pairs is no error, and ids below 2**31 pack as (u << 32) | v in (u, v) order
     us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for d, slots in hg.size_classes():
-        rows = hg.members[slots]
+    for d, rows in hg.size_classes():
         firsts = np.ones(rows.shape, dtype=bool)
         firsts[1:] = rows[1:] != rows[:-1]
         i, j = np.triu_indices(d, 1)
@@ -100,7 +99,7 @@ class Census:
     parts: np.ndarray          # part of every node
     slot_volume: np.ndarray    # member slots per part
     counts: np.ndarray
-    rows: list                 # (d, node rows) per size class; see Hypergraph.size_classes
+    rows: list                 # list(hg.size_classes()): (d, node rows) per size class
 
     def hypergraph_modularity(self, u: WeightMatrix) -> float:
         """See the module-level ``hypergraph_modularity``."""
@@ -171,20 +170,21 @@ def census(hg: Hypergraph, partition) -> Census:
     the part volumes, so one census serves every valuation.  hg keeps a
     two-level memo.  While ``offsets`` is the same array and ``members``
     equals a kept copy, it keeps that copy, the node rows of every size class
-    and the node degrees: 8 bytes per member slot and per node.  While the
-    labels (in the same dtype) are equal too, it hands out the arrays of its
-    last census again, read-only.  A new partition costs one label gather
-    and the vote.  A census keeps the edge count and volume it was taken
-    at, not hg, so a later change to hg leaves it as it was.
+    and the node degrees: 8 bytes per member slot and per node.  It knows
+    ``offsets`` only by identity, so it makes ``offsets`` read-only: the
+    array can be replaced, not written.  While the labels (in the same
+    dtype) are equal too, it hands out the arrays of its last census again,
+    read-only.  A new partition costs one label gather and the vote.  A
+    census keeps the edge count and volume it was taken at, not hg, so a
+    later change to hg leaves it as it was.
     """
     labels = partition.member_of if isinstance(partition, CommunityAssignment) else np.asarray(partition)
     kept, counted = hg._census or (None, None)
     if not (kept is not None and kept[0] is hg.offsets and _same_values(kept[1], hg.members)):
         hg._census = kept = counted = None   # free the old copies first
-        copy = hg.members.copy()
-        kept = (hg.offsets, copy, [(d, copy[slots]) for d, slots in hg.size_classes()], hg.degrees())
-        for _, nodes in kept[2]:
-            nodes.flags.writeable = False
+        kept = (hg.offsets, hg.members.copy(), list(hg.size_classes()), hg.degrees())
+        for arr in (hg.offsets, *(nodes for _, nodes in kept[2])):
+            arr.flags.writeable = False
     if not (counted is not None and _same_values(counted[0], labels)):
         arrays = _count_compositions(hg.n, *kept[2:], labels)
         for arr in arrays:

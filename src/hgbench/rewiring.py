@@ -134,11 +134,10 @@ def _classify(hg: Hypergraph):
     sizes = sizes.astype(np.min_scalar_type(widest))   # one byte per edge while sizes fit
     bad = np.empty(hg.edge_count, dtype=bool)
     hashes = np.empty(hg.edge_count, dtype=np.int64)
-    for d, slots in hg.size_classes():
+    for d, rows in hg.size_classes():   # column i: the i-th size-d edge, sorted
         in_class = sizes == d
-        block = hg.members[slots]   # column i: the i-th size-d edge, sorted
-        bad[in_class] = (block[1:] == block[:-1]).any(axis=0)
-        hashes[in_class] = _hash_rows(block.T)
+        bad[in_class] = (rows[1:] == rows[:-1]).any(axis=0)
+        hashes[in_class] = _hash_rows(rows.T)
     bits = max(1, (hg.edge_count - 1).bit_length())
     keys = _pack(hashes, np.arange(hg.edge_count, dtype=np.int32), bits)[~bad]
     del hashes

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,12 +13,13 @@ ORIGIN_BACKGROUND = -1
 ORIGIN_SINGLETON = -2
 
 
-def size_runs(offsets: np.ndarray) -> list[int]:
-    """Bounds of the runs of consecutive equal-size edges: run j holds edges
-    ``runs[j]`` to ``runs[j+1] - 1``."""
+def size_runs(members: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
+    """Each run of consecutive equal-size edges, in edge order, as an
+    ``(edges, d)`` view of ``members``; writes through it reach ``members``."""
     sizes = np.diff(offsets)
     bounds = np.flatnonzero(sizes[1:] != sizes[:-1]) + 1
-    return [0, *bounds.tolist(), len(sizes)] if len(sizes) else []
+    for e0, e1 in itertools.pairwise([0, *bounds.tolist(), len(sizes)] if len(sizes) else []):
+        yield members[offsets[e0]: offsets[e1]].reshape(e1 - e0, sizes[e0])
 
 
 def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
@@ -32,9 +34,8 @@ def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for e0, e1 in itertools.pairwise(size_runs(offsets)):
-            run = members[offsets[e0]: offsets[e1]]
-            lists += run.reshape(e1 - e0, offsets[e0 + 1] - offsets[e0]).tolist()
+        for run in size_runs(members, offsets):
+            lists += run.tolist()
     finally:
         if enabled:
             gc.enable()
@@ -81,18 +82,20 @@ class Hypergraph:
     def edge_lists(self) -> list[list[int]]:
         return member_lists(self.members, self.offsets)
 
-    def size_classes(self) -> list[tuple[int, np.ndarray]]:
-        """(d, slots) for every nonempty edge size d present, ascending.
-
-        slots[j, i] indexes into ``members`` the j-th slot of the i-th
-        size-d edge, so ``members[slots]`` holds one slot position per row.
-        The blocks are int32 while the slots fit, and built anew on every call.
-        """
+    def size_classes(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (d, rows) for every nonempty edge size d present, ascending:
+        ``rows[j, i]`` is the node in slot j of the i-th size-d edge.  Each
+        int32 block is gathered from ``members`` anew, when it is asked for."""
         sizes = self.sizes()
-        dtype = np.int32 if self.volume <= np.iinfo(np.int32).max else np.int64
-        starts = self.offsets[:-1].astype(dtype)
-        return [(int(d), starts[sizes == d] + np.arange(d, dtype=dtype)[:, None])
-                for d in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
+        sizes = sizes.astype(np.min_scalar_type(sizes.max(initial=0)))
+        for d in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+            starts = self.offsets[:-1][sizes == d]
+            rows = np.empty((d, len(starts)), dtype=self.members.dtype)
+            for row in rows:
+                np.take(self.members, starts, out=row)
+                starts += 1
+            del starts   # a paused generator keeps its locals
+            yield d, rows
 
     def sort_members(self) -> None:
         """Sort member slots ascending within every edge, in place.
@@ -101,10 +104,8 @@ class Hypergraph:
         the cost is one step per run: generated edges come in a few long
         runs, edge lists whose sizes alternate take one step per edge.
         """
-        offsets = self.offsets
-        for e0, e1 in itertools.pairwise(size_runs(offsets)):
-            d = offsets[e0 + 1] - offsets[e0]
-            self.members[offsets[e0]: offsets[e1]].reshape(e1 - e0, d).sort(axis=1)
+        for run in size_runs(self.members, self.offsets):
+            run.sort(axis=1)
 
     @classmethod
     def from_sizes(cls, n: int, sizes: np.ndarray, members: np.ndarray,

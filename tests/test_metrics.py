@@ -286,6 +286,17 @@ class TestCensusMemo:
         assert type_histogram(hg, labels) == {(0, 4): 1, (3, 4): 0, (4, 4): 0}
         assert_scores_like_a_fresh_copy(hg, labels)
 
+    def test_offsets_written_in_place_are_refused(self):
+        # the memo keeps offsets by identity, so an in-place write would go unseen
+        hg = hg_from(4, [[0, 1], [2, 3]])
+        labels = [0, 0, 1, 1]
+        assert type_histogram(hg, labels) == {(0, 2): 0, (2, 2): 2}
+        with pytest.raises(ValueError, match="read-only"):
+            hg.offsets[1] = 3
+        hg.offsets = np.array([0, 1, 4])   # a new array is seen
+        assert type_histogram(hg, labels) == {(1, 1): 1, (0, 3): 0, (2, 3): 1, (3, 3): 0}
+        assert_scores_like_a_fresh_copy(hg, labels)
+
     def test_census_keeps_its_score_after_hg_changes(self):
         hg = hg_from(4, [[0, 1], [2, 3]])
         cen = census(hg, [0, 0, 1, 1])

@@ -225,6 +225,20 @@ class TestOnGeneratedGraphs:
             tracemalloc.stop()
         assert held < hg.volume   # under 1 byte per member slot
 
+    def test_classify_holds_one_size_class_at_a_time(self):
+        # tracemalloc sees numpy's buffers; the size-class rows are gathered
+        # one class at a time, so no slot-long block lives through the hashing
+        hg = generate(default_params(2**15, seed=1, simple=False)).hypergraph
+        rewiring._classify(Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(),
+                                                 hg.origins.copy()))   # numpy's one-time caches
+        tracemalloc.start()
+        try:
+            rewiring._classify(hg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * hg.volume + 64 * 1024
+
     @pytest.mark.slow
     def test_simple_outputs_across_seeds(self):
         # medium graphs, many seeds: output must always be simple

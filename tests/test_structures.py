@@ -81,56 +81,106 @@ class TestFromEdgeLists:
         assert hg.edge_count == 0
 
 
+def per_edge_classes(edges):
+    """Reference size classes: the edges of each nonempty size d, ascending,
+    stacked one edge per column."""
+    sizes = sorted({len(e) for e in edges} - {0})
+    return [(d, np.array([e for e in edges if len(e) == d], dtype=np.int32).T) for d in sizes]
+
+
+def per_edge_runs(edges):
+    """Reference size runs: consecutive equal-size edges stacked one per row."""
+    runs = []
+    for e0, e in enumerate(edges):
+        if e0 and len(e) == len(edges[e0 - 1]):
+            runs[-1].append(e)
+        else:
+            runs.append([e])
+    return [np.array(run, dtype=np.int32).reshape(len(run), len(run[0])) for run in runs]
+
+
+def assert_blocks_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int32 and a.shape == b.shape and np.array_equal(a, b)
+
+
+def edges_of_sizes(sizes):
+    """Edges of the given sizes that hold the node ids 0, 1, ... in order."""
+    ids = iter(range(sum(sizes)))
+    return [[next(ids) for _ in range(d)] for d in sizes]
+
+
+edge_lists = st.lists(st.lists(st.integers(min_value=0, max_value=9), max_size=6), max_size=30)
+
+
 class TestSizeClasses:
     def test_blocks_follow_offsets(self):
         hg = Hypergraph.from_edge_lists(6, [[0, 1], [2, 3, 4], [5, 0], [1]])
-        layout = hg.size_classes()
-        assert [(d, slots.tolist()) for d, slots in layout] == [
-            (1, [[7]]), (2, [[0, 5], [1, 6]]), (3, [[2], [3], [4]])]
-        assert all(slots.dtype == np.int32 for _, slots in layout)
-        layout[1][1][...] = 0   # each call builds its own blocks
-        assert hg.size_classes()[1][1].tolist() == [[0, 5], [1, 6]]
+        layout = list(hg.size_classes())
+        assert [(d, rows.tolist()) for d, rows in layout] == [
+            (1, [[1]]), (2, [[0, 0], [1, 5]]), (3, [[2], [3], [4]])]
+        assert all(rows.dtype == np.int32 for _, rows in layout)
 
         hg.offsets = np.array([0, 4, 8], dtype=np.int64)
-        assert [(d, slots.tolist()) for d, slots in hg.size_classes()] == [
-            (4, [[0, 4], [1, 5], [2, 6], [3, 7]])]
+        assert [(d, rows.tolist()) for d, rows in hg.size_classes()] == [
+            (4, [[0, 4], [1, 0], [2, 5], [3, 1]])]
 
+    def test_each_call_gathers_its_own_rows(self):
+        hg = Hypergraph.from_edge_lists(6, [[0, 1], [2, 3, 4], [5, 0]])
+        for _, rows in hg.size_classes():
+            rows[...] = 0
+        assert [(d, rows.tolist()) for d, rows in hg.size_classes()] == [
+            (2, [[0, 0], [1, 5]]), (3, [[2], [3], [4]])]
+        assert hg.members.tolist() == [0, 1, 2, 3, 4, 0, 5]
 
-def size_runs_reference(offsets):
-    """The earlier definition: every index where the size differs from its
-    neighbour, with sentinel sizes -1 before the first and after the last edge."""
-    sizes = np.diff(offsets)
-    return np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
-
-
-def offsets_of(sizes):
-    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    @given(edges=edge_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_edge_reference(self, edges):
+        # zero edges, empty edges (no class) and sizes in any order
+        hg = Hypergraph.from_edge_lists(10, edges)
+        got = list(hg.size_classes())
+        want = per_edge_classes([sorted(e) for e in edges])
+        assert [d for d, _ in got] == [d for d, _ in want]
+        assert_blocks_equal([rows for _, rows in got], [rows for _, rows in want])
 
 
 class TestSizeRuns:
     @pytest.mark.parametrize("sizes, runs", [
-        ([], []),                          # zero edges
-        ([3], [0, 1]),                     # one edge
-        ([4] * 1000, [0, 1000]),           # one long run
-        ([2, 3] * 50, list(range(101))),   # a new size at every edge
-        ([0, 0, 2, 1, 1], [0, 2, 3, 5]),   # empty edges form a run too
+        ([], []),                                # zero edges
+        ([3], [(1, 3)]),                         # one edge
+        ([4] * 1000, [(1000, 4)]),               # one long run
+        ([2, 3] * 50, [(1, 2), (1, 3)] * 50),    # a new size at every edge
+        ([0, 0, 2, 1, 1], [(2, 0), (1, 2), (2, 1)]),   # empty edges form a run too
     ])
     def test_matches_reference(self, sizes, runs):
-        offsets = offsets_of(sizes)
-        assert size_runs(offsets) == runs == size_runs_reference(offsets)
+        edges = edges_of_sizes(sizes)
+        hg = Hypergraph.from_edge_lists(sum(sizes), edges)
+        got = list(size_runs(hg.members, hg.offsets))
+        assert [run.shape for run in got] == runs
+        assert_blocks_equal(got, per_edge_runs(edges))
 
-    @given(sizes=st.lists(st.integers(min_value=0, max_value=6), max_size=60))
+    @given(edges=edge_lists)
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_property(self, sizes):
-        offsets = offsets_of(sizes)
-        assert size_runs(offsets) == size_runs_reference(offsets)
+    def test_matches_reference_property(self, edges):
+        hg = Hypergraph.from_edge_lists(10, edges)
+        assert_blocks_equal(list(size_runs(hg.members, hg.offsets)),
+                            per_edge_runs([sorted(e) for e in edges]))
+
+    def test_writes_through_a_run_reach_members(self):
+        # sort_members sorts the runs in place
+        members = np.array([5, 4, 3, 2, 1, 0, 9, 8, 7], dtype=np.int32)
+        offsets = np.array([0, 2, 4, 6, 9], dtype=np.int64)
+        for run in size_runs(members, offsets):
+            run[:, 0] = -1
+        assert members.tolist() == [-1, 4, -1, 2, -1, 0, -1, 8, 7]
 
     def test_alternating_sizes_in_member_lists_and_writer(self, tmp_path):
         # sizes 2, 3, 2, 3, ...: one run per edge in member_lists and the writer
         edges = [[(i + 3) % 7, i % 7] + ([i % 7 + 7] if i % 2 else []) for i in range(40)]
         hg = Hypergraph.from_edge_lists(14, edges)
         expected = [sorted(e) for e in edges]
-        assert len(size_runs(hg.offsets)) == len(edges) + 1
+        assert len(list(size_runs(hg.members, hg.offsets))) == len(edges)
         assert member_lists(hg.members, hg.offsets) == expected
         path = tmp_path / "alt.edges"
         write_edges_file(str(path), hg, seed=4)
