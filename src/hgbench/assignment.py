@@ -193,7 +193,8 @@ def assign_communities(y: np.ndarray, z: np.ndarray, sizes: np.ndarray,
 
     tail = order[cut:]
     if len(tail):
-        pool = np.repeat(np.arange(len(spots), dtype=np.int32), spots)
-        member_of[tail] = rng.permutation(pool)
+        pool = np.repeat(np.arange(len(spots), dtype=np.intp), spots)
+        rng.shuffle(pool)   # the draws of rng.permutation, faster on intp items
+        member_of[tail] = pool
 
     return CommunityAssignment(np.asarray(sizes, dtype=np.int64), member_of)

@@ -140,13 +140,20 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
     and the rest from one shuffled external pool shared by all communities,
     both consumed in build order.  Also returns the per-node internal slot
     count.
+
+    Every pool is shuffled as intp and stored as int32: ``Generator.shuffle``
+    makes the same draws and the same permutation for any item size, and it
+    is fastest on 8-byte items.
     """
     q = params.normalized_q()
     w_norm = params.w.normalized()
     max_d = params.max_edge_size
-    rows, parts = [], []   # parts: (majority count, start in the pool) per group
+    rows, parts = [], []   # parts: (majority count, start in internal) per group
     y_int = np.zeros(len(y), dtype=np.int64)
-    pools = []
+    # the communities' internal pools end to end, in one block that their
+    # community shares bound: one allocation, not one per community
+    internal = np.empty(int(y.sum()), dtype=np.int32)
+    filled = 0
 
     for j, nodes in enumerate(assignment.groups()):
         yj = y[nodes]
@@ -168,22 +175,23 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
             for c in np.flatnonzero(type_counts)[::-1].tolist():
                 m = int(type_counts[c])
                 rows.append((d, j, m))
-                parts.append((c, internal_total))
+                parts.append((c, filled + internal_total))
                 internal_total += c * m
 
         shares = distribute_internal(yj, internal_total, rng)
         y_int[nodes] = shares
-        pool = np.repeat(nodes.astype(np.int32), shares)
+        pool = np.repeat(nodes, shares)   # intp, as the groups are
         rng.shuffle(pool)
-        pools.append(pool)
+        internal[filled: filled + internal_total] = pool
+        filled += internal_total
 
-    external = np.repeat(np.arange(len(y), dtype=np.int32), y - y_int)
+    external = np.repeat(np.arange(len(y), dtype=np.intp), y - y_int)
     rng.shuffle(external)
     members = np.empty(int(y.sum()), dtype=np.int32)
     at = taken = 0  # slots filled, external slots consumed
-    for (d, j, m), (c, start) in zip(rows, parts):
+    for (d, _, m), (c, start) in zip(rows, parts):
         block = members[at: at + d * m].reshape(m, d)
-        block[:, :c] = pools[j][start: start + c * m].reshape(m, c)
+        block[:, :c] = internal[start: start + c * m].reshape(m, c)
         block[:, c:] = external[taken: taken + (d - c) * m].reshape(m, d - c)
         at += d * m
         taken += (d - c) * m
@@ -206,8 +214,9 @@ def build_background_edges(z: np.ndarray, params: GeneratorParams,
     """
     q = params.normalized_q()
     n = len(z)
-    pool = np.repeat(np.arange(n, dtype=np.int32), z)
-    rng.shuffle(pool)
+    pool = np.repeat(np.arange(n, dtype=np.intp), z)
+    rng.shuffle(pool)   # as intp: see build_community_edges
+    pool = pool.astype(np.int32)
     counts, r = allocate_edge_counts(len(pool), q, params.max_edge_size)
     rows = [(d, ORIGIN_BACKGROUND, counts[d])
             for d in range(params.max_edge_size, 1, -1) if counts[d]]

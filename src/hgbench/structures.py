@@ -13,13 +13,35 @@ ORIGIN_BACKGROUND = -1
 ORIGIN_SINGLETON = -2
 
 
+# Sorting networks by width (Batcher 1968): each pair (i, j), i < j, puts the
+# smaller of columns i and j into column i.  Per row a network costs less
+# than sort(axis=1), per call more, so a run takes it only from the rows at
+# which it measured faster (see CHANGES.md).
+_NETWORKS = {2: [(0, 1)], 3: [(1, 2), (0, 2), (0, 1)],
+             4: [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]}
+_NETWORK_MIN_ROWS = {2: 64, 3: 256, 4: 768}
+_FEWEST_NETWORK_ROWS = min(_NETWORK_MIN_ROWS.values())
+
+# edges whose sizes size_runs compares at a time: an int64 np.diff over every
+# edge would cost 8 bytes per edge
+_RUN_CHUNK = 1 << 16
+
+
 def size_runs(members: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
     """Each run of consecutive equal-size edges, in edge order, as an
-    ``(edges, d)`` view of ``members``; writes through it reach ``members``."""
-    sizes = np.diff(offsets)
-    bounds = np.flatnonzero(sizes[1:] != sizes[:-1]) + 1
-    for e0, e1 in itertools.pairwise([0, *bounds.tolist(), len(sizes)] if len(sizes) else []):
-        yield members[offsets[e0]: offsets[e1]].reshape(e1 - e0, sizes[e0])
+    ``(edges, d)`` view of ``members``; writes through it reach ``members``.
+    Run bounds are found one chunk of edges at a time; a run may span chunks."""
+    edges = len(offsets) - 1
+    e0, s0 = 0, int(offsets[0])   # first edge and first slot of the next run
+    for c0 in range(0, edges, _RUN_CHUNK):
+        sizes = np.diff(offsets[c0: c0 + _RUN_CHUNK + 2])   # one edge past the chunk
+        ends = np.flatnonzero(sizes[1:] != sizes[:-1])      # edge c0 + k ends a run
+        if c0 + _RUN_CHUNK >= edges:
+            ends = np.append(ends, len(sizes) - 1)
+        nexts = ends + (c0 + 1)
+        for e1, s1, d in zip(nexts.tolist(), offsets[nexts].tolist(), sizes[ends].tolist()):
+            yield members[s0: s1].reshape(e1 - e0, d)
+            e0, s0 = e1, s1
 
 
 def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
@@ -102,10 +124,23 @@ class Hypergraph:
 
         Each run of equal-size edges is sorted in place as one 2-D view, so
         the cost is one step per run: generated edges come in a few long
-        runs, edge lists whose sizes alternate take one step per edge.
+        runs, edge lists whose sizes alternate take one step per edge.  A
+        run of 2 to 4 columns and enough rows goes through a fixed
+        compare-exchange network over its columns, which costs less per row
+        than ``sort(axis=1)`` but more per call.
         """
         for run in size_runs(self.members, self.offsets):
-            run.sort(axis=1)
+            # the row count first: edge lists in any order come as many
+            # one-edge runs, and reading run.shape costs more than len(run)
+            rows = len(run)
+            if rows < _FEWEST_NETWORK_ROWS or rows < _NETWORK_MIN_ROWS.get(run.shape[1], rows + 1):
+                run.sort(axis=1)
+                continue
+            for i, j in _NETWORKS[run.shape[1]]:
+                low, high = run[:, i], run[:, j]
+                kept = np.minimum(low, high)
+                np.maximum(low, high, out=high)
+                low[...] = kept
 
     @classmethod
     def from_sizes(cls, n: int, sizes: np.ndarray, members: np.ndarray,
@@ -172,9 +207,13 @@ class CommunityAssignment:
 
     def groups(self) -> list[np.ndarray]:
         """Node ids of each community, index-aligned with ``sizes``."""
-        order = np.argsort(self.member_of, kind="stable")
-        bounds = np.searchsorted(self.member_of[order], np.arange(len(self.sizes) + 1))
-        return [order[bounds[j]: bounds[j + 1]] for j in range(len(self.sizes))]
+        k = len(self.sizes)
+        # numpy's stable argsort is a radix sort for 1- and 2-byte labels
+        labels = self.member_of.astype(np.min_scalar_type(max(k - 1, 0)))
+        order = np.argsort(labels, kind="stable")
+        bounds = np.zeros(k + 1, dtype=np.intp)
+        np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
+        return [order[bounds[j]: bounds[j + 1]] for j in range(k)]
 
 
 @dataclass

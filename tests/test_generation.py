@@ -333,13 +333,41 @@ class TestGenerate:
             assert abs(share - 0.25) < 0.04
 
 
+class TestShuffleItemSize:
+    """Point pools are shuffled as intp and stored as int32, which keeps the
+    output only because numpy's Generator.shuffle makes the same draws and
+    the same permutation for any item size; these tests pin that."""
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 1000, 2**17 + 3])
+    def test_shuffle_ignores_the_item_size(self, length):
+        narrow = np.arange(length, dtype=np.int32)[::-1].copy()
+        wide = narrow.astype(np.intp)
+        rng_narrow, rng_wide = np.random.default_rng(length), np.random.default_rng(length)
+        rng_narrow.shuffle(narrow)
+        rng_wide.shuffle(wide)
+        assert np.array_equal(narrow, wide)
+        assert rng_narrow.random() == rng_wide.random()   # the same draws were made
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 1000, 2**17 + 3])
+    def test_permutation_is_a_shuffled_copy(self, length):
+        # assign_communities deals its tail with a shuffle in place of rng.permutation
+        pool = np.arange(length, dtype=np.int32) % 7
+        wide = pool.astype(np.intp)
+        rng_perm, rng_shuffle = np.random.default_rng(9), np.random.default_rng(9)
+        got = rng_perm.permutation(pool)
+        rng_shuffle.shuffle(wide)
+        assert np.array_equal(got, wide)
+        assert rng_perm.random() == rng_shuffle.random()
+
+
 def sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 class TestLargeDigests:
     """Pinned sha256 of generate's arrays at n = 2^15, seed 3: 105 communities
-    and 424 runs of equal-size edges, far more than the n = 2000 golden files.
+    and 424 runs of equal-size edges, far more than the n = 2000 golden files;
+    and, marked slow, at n = 10^6, seed 1.
 
     The digests were taken from the generator as it was before community
     edges were filled block by block (v0.3.0); the block fill reproduces them
@@ -375,6 +403,30 @@ class TestLargeDigests:
         }
         assert {name: sha256(a) for name, a in arrays.items()} == self.SHARED
         assert sha256(hg.members) == self.MEMBERS[simple]
+
+    @pytest.mark.slow
+    def test_one_million_nodes_match_pinned_digests(self):
+        # 692 communities, pools of up to 270,217 slots and runs of up to
+        # 316,309 edges, which sorting networks sort; pinned at v0.4.0 before
+        # pools were shuffled as intp and before the networks
+        res = generate(default_params(10**6, seed=1, simple=False))
+        hg = res.hypergraph
+        arrays = {
+            "offsets": hg.offsets,
+            "members": hg.members,
+            "origins": hg.origins,
+            "member_of": res.assignment.member_of,
+            "internal_degree": res.profiles.internal_degree,
+            "background_degree": res.profiles.background_degree,
+        }
+        assert {name: sha256(a) for name, a in arrays.items()} == {
+            "offsets": "947da6f95b60a184d9bd67b79c41909b866de46108dce3ecd61e05c1959a1650",
+            "members": "e5d2024e34c637e96393334c38590b26ad5f370db335469c40300039a08b43bc",
+            "origins": "a27719654a327ef1ffe893148949d5f88b6593521da7201ebda6f9e8ca541446",
+            "member_of": "3c668d3439c41795e9ba0d9111cc7b61c9b75acc005580a0a283fa09aaddcfa5",
+            "internal_degree": "982c1c77199b7698db0fb0bc26a8947f4474150551102e6e13ec988fd5278b18",
+            "background_degree": "4ff309550701918791f2ecfdd0ad8f1c98e70761071cd05448c4e2f3ae87aff0",
+        }
 
     def test_blocked_placement_matches_pinned_digests(self):
         # min_size 20 against max_degree 200: some communities refuse the

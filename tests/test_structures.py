@@ -1,12 +1,25 @@
 """Hypergraph container: array assembly from edge lists."""
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgbench import __version__
+from hgbench import __version__, default_params, structures
 from hgbench.cli import write_edges_file
-from hgbench.structures import ORIGIN_BACKGROUND, Hypergraph, member_lists, size_runs
+from hgbench.generation import generate
+from hgbench.structures import (
+    _NETWORK_MIN_ROWS,
+    _NETWORKS,
+    _RUN_CHUNK,
+    ORIGIN_BACKGROUND,
+    CommunityAssignment,
+    Hypergraph,
+    member_lists,
+    size_runs,
+)
 
 
 def per_edge_sorted(n, edges):
@@ -79,6 +92,64 @@ class TestFromEdgeLists:
         assert hg.offsets.tolist() == [0]
         assert hg.members.dtype == np.int32 and len(hg.members) == 0
         assert hg.edge_count == 0
+
+
+# ids that sorting networks and sort(axis=1) must both order: the extremes
+# of int32 node ids and a few small ids, so that nodes repeat within edges
+EXTREME_IDS = np.array([0, 1, 2, 3, 2**31 - 2, 2**31 - 1], dtype=np.int32)
+
+
+def runs_near_the_crossover():
+    """(width, edge count) runs: a few edges, or a count within two of the
+    row count from which sort_members takes a sorting network."""
+    def count(d):
+        near = _NETWORK_MIN_ROWS.get(d, 64)
+        return st.one_of(st.integers(min_value=1, max_value=4),
+                         st.integers(min_value=near - 2, max_value=near + 2))
+    run = st.integers(min_value=1, max_value=6).flatmap(lambda d: st.tuples(st.just(d), count(d)))
+    return st.lists(run, min_size=1, max_size=5)
+
+
+def random_members(runs, seed):
+    rng = np.random.default_rng(seed)
+    sizes = np.repeat([d for d, _ in runs], [m for _, m in runs])
+    return sizes, rng.choice(EXTREME_IDS, size=int(sizes.sum()))
+
+
+class TestSortMembers:
+    @given(runs=runs_near_the_crossover(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_edge_sort(self, runs, seed):
+        sizes, members = random_members(runs, seed)
+        hg = Hypergraph.from_sizes(2**31, sizes, members.copy(), np.zeros(len(sizes)))
+        for e0, e1 in zip(hg.offsets[:-1], hg.offsets[1:]):
+            assert np.array_equal(hg.members[e0:e1], np.sort(members[e0:e1]))
+
+    @pytest.mark.parametrize("d", sorted(_NETWORKS))
+    def test_networks_on_both_sides_of_the_crossover(self, d):
+        # one run per call: one row short of the crossover, at it, past it
+        for rows in (_NETWORK_MIN_ROWS[d] - 1, _NETWORK_MIN_ROWS[d], 5000):
+            sizes, members = random_members([(d, rows)], seed=rows)
+            hg = Hypergraph.from_sizes(2**31, sizes, members.copy(), np.zeros(rows))
+            assert np.array_equal(hg.members.reshape(rows, d),
+                                  np.sort(members.reshape(rows, d), axis=1))
+
+    def test_peak_memory_does_not_grow_with_the_edge_count(self):
+        # run bounds come one chunk of edges at a time; a network holds one
+        # int32 column of its run.  An int64 size per edge would be 8 bytes
+        # per edge, 3.9 MiB here.
+        hg = generate(default_params(2**17, seed=1, simple=False)).hypergraph
+        longest = max(len(run) for run in size_runs(hg.members, hg.offsets))
+        hg.sort_members()
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            hg.sort_members()
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert hg.edge_count * 8 > 2 * (16 * _RUN_CHUNK + 4 * longest + (64 << 10))
+        assert peak <= 16 * _RUN_CHUNK + 4 * longest + (64 << 10), peak
 
 
 def per_edge_classes(edges):
@@ -175,6 +246,24 @@ class TestSizeRuns:
             run[:, 0] = -1
         assert members.tolist() == [-1, 4, -1, 2, -1, 0, -1, 8, 7]
 
+    def test_runs_straddle_chunk_edges(self):
+        # run bounds are found chunk by chunk, but runs are yielded whole
+        sizes = np.repeat([2, 3, 4, 2], [_RUN_CHUNK - 1, 2, _RUN_CHUNK + 5, 1])
+        members = np.arange(int(sizes.sum()), dtype=np.int32)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        got = list(size_runs(members, offsets))
+        assert [run.shape for run in got] == [
+            (_RUN_CHUNK - 1, 2), (2, 3), (_RUN_CHUNK + 5, 4), (1, 2)]
+        assert np.array_equal(np.concatenate([run.ravel() for run in got]), members)
+
+    @given(edges=edge_lists, chunk=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_with_small_chunks(self, edges, chunk):
+        hg = Hypergraph.from_edge_lists(10, edges)
+        with mock.patch.object(structures, "_RUN_CHUNK", chunk):
+            got = list(size_runs(hg.members, hg.offsets))
+        assert_blocks_equal(got, per_edge_runs([sorted(e) for e in edges]))
+
     def test_alternating_sizes_in_member_lists_and_writer(self, tmp_path):
         # sizes 2, 3, 2, 3, ...: one run per edge in member_lists and the writer
         edges = [[(i + 3) % 7, i % 7] + ([i % 7 + 7] if i % 2 else []) for i in range(40)]
@@ -187,3 +276,34 @@ class TestSizeRuns:
         lines = path.read_text().splitlines()
         assert lines[:2] == [f"# hgbench {__version__} edges", "# nodes=14 edges=40 seed=4"]
         assert lines[2:] == [" ".join(str(v + 1) for v in e) for e in expected]
+
+
+def groups_reference(assignment):
+    """Groups from a stable argsort of the int32 labels and searchsorted bounds."""
+    order = np.argsort(assignment.member_of, kind="stable")
+    bounds = np.searchsorted(assignment.member_of[order], np.arange(assignment.community_count + 1))
+    return [order[bounds[j]: bounds[j + 1]] for j in range(assignment.community_count)]
+
+
+class TestGroups:
+    @pytest.mark.parametrize("dtype, labels", [(np.uint8, 256), (np.uint16, 65536)])
+    def test_narrow_stable_argsort_keeps_the_order(self, dtype, labels):
+        # groups() sorts the labels in the narrowest dtype, where numpy's
+        # stable argsort is a radix sort; ties must keep their order
+        member_of = np.random.default_rng(labels).integers(0, labels, size=2**17 + 3, dtype=np.int32)
+        assert np.array_equal(np.argsort(member_of.astype(dtype), kind="stable"),
+                              np.argsort(member_of, kind="stable"))
+
+    @pytest.mark.parametrize("k", [0, 1, 256, 257, 65536, 65537])
+    def test_matches_int32_reference(self, k):
+        # uint8, uint16 and uint32 labels on both sides of each width's edge
+        rng = np.random.default_rng(k)
+        sizes = np.sort(rng.integers(1, 4, size=k))[::-1]
+        member_of = np.repeat(np.arange(k, dtype=np.int32), sizes)
+        rng.shuffle(member_of)
+        assignment = CommunityAssignment(sizes.astype(np.int64), member_of)
+        got = assignment.groups()
+        want = groups_reference(assignment)
+        assert len(got) == len(want) == k
+        for a, b in zip(got, want):
+            assert a.dtype == np.intp and np.array_equal(a, b)
