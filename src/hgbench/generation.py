@@ -143,17 +143,21 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
 
     Every pool is shuffled as intp and stored as int32: ``Generator.shuffle``
     makes the same draws and the same permutation for any item size, and it
-    is fastest on 8-byte items.
+    is fastest on 8-byte items.  A community pool is shuffled in one reused
+    intp buffer, and its int32 copy is made after the pool's ``np.repeat``
+    temporary is freed.  Two layouts with the same outputs, all pools in one
+    int32 block or each repeat shuffled in place and copied out while still
+    alive, left the heap so that the peak resident memory of repeated calls
+    at n = 10^6 moved by 20 MiB or more from one seed to the next
+    (CHANGES.md).
     """
     q = params.normalized_q()
     w_norm = params.w.normalized()
     max_d = params.max_edge_size
-    rows, parts = [], []   # parts: (majority count, start in internal) per group
+    rows, parts = [], []   # parts: (majority count, start in the pool) per group
     y_int = np.zeros(len(y), dtype=np.int64)
-    # the communities' internal pools end to end, in one block that their
-    # community shares bound: one allocation, not one per community
-    internal = np.empty(int(y.sum()), dtype=np.int32)
-    filled = 0
+    pools = []
+    wide = np.empty(0, dtype=np.intp)   # shuffle buffer, grown to the largest pool
 
     for j, nodes in enumerate(assignment.groups()):
         yj = y[nodes]
@@ -175,23 +179,25 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
             for c in np.flatnonzero(type_counts)[::-1].tolist():
                 m = int(type_counts[c])
                 rows.append((d, j, m))
-                parts.append((c, filled + internal_total))
+                parts.append((c, internal_total))
                 internal_total += c * m
 
         shares = distribute_internal(yj, internal_total, rng)
         y_int[nodes] = shares
-        pool = np.repeat(nodes, shares)   # intp, as the groups are
+        if len(wide) < internal_total:
+            wide = np.empty(internal_total, dtype=np.intp)
+        pool = wide[:internal_total]
+        pool[:] = np.repeat(nodes, shares)   # intp, as the groups are
         rng.shuffle(pool)
-        internal[filled: filled + internal_total] = pool
-        filled += internal_total
+        pools.append(pool.astype(np.int32))
 
     external = np.repeat(np.arange(len(y), dtype=np.intp), y - y_int)
     rng.shuffle(external)
     members = np.empty(int(y.sum()), dtype=np.int32)
     at = taken = 0  # slots filled, external slots consumed
-    for (d, _, m), (c, start) in zip(rows, parts):
+    for (d, j, m), (c, start) in zip(rows, parts):
         block = members[at: at + d * m].reshape(m, d)
-        block[:, :c] = internal[start: start + c * m].reshape(m, c)
+        block[:, :c] = pools[j][start: start + c * m].reshape(m, c)
         block[:, c:] = external[taken: taken + (d - c) * m].reshape(m, d - c)
         at += d * m
         taken += (d - c) * m
