@@ -2,9 +2,9 @@
 
 The functions read the hypergraph and a node partition and return numbers
 or plain data.  They change neither, but ``census`` leaves a memo (node
-rows and the last census) on the hypergraph and makes its ``offsets``
-read-only.  Partitions are given as an integer label per node; labels are
-normalized internally, so any labeling scheme works.
+rows and the last census) on the hypergraph and makes its ``offsets`` and
+``members`` read-only.  Partitions are given as an integer label per node;
+labels are normalized internally, so any labeling scheme works.
 """
 from __future__ import annotations
 
@@ -40,9 +40,9 @@ def _normalize_partition(labels, n: int):
 class TwoSection:
     """Weighted multigraph obtained by replacing each edge with a clique.
 
-    Parallel pairs coming from different hyperedges accumulate weight;
-    repeated slots within one hyperedge are collapsed first, so a single
-    hyperedge contributes each unordered pair at most once.
+    The pairs u < v are distinct and sorted by (u, v); parallel pairs from
+    different hyperedges add up their weight.  Repeated slots within one
+    hyperedge collapse first, so it gives each unordered pair at most once.
     """
 
     n: int
@@ -166,44 +166,32 @@ class Census:
 def census(hg: Hypergraph, partition) -> Census:
     """Composition census of hg under a node partition (one label per node).
 
-    Hypergraph modularity depends on the edges only through the counts and
-    the part volumes, so one census serves every valuation.  hg keeps a
-    two-level memo.  While ``offsets`` is the same array and ``members``
-    equals a kept copy, it keeps that copy, the node rows of every size class
-    and the node degrees: 8 bytes per member slot and per node.  It knows
-    ``offsets`` only by identity, so it makes ``offsets`` read-only: the
-    array can be replaced, not written.  While the labels (in the same
-    dtype) are equal too, it hands out the arrays of its last census again,
-    read-only.  A new partition costs one label gather and the vote.  A
-    census keeps the edge count and volume it was taken at, not hg, so a
-    later change to hg leaves it as it was.
+    Hypergraph modularity depends on the edges only through the counts and the
+    part volumes, so one census serves every valuation.  hg keeps a two-level
+    memo.  While ``offsets`` and ``members`` are the same arrays, it keeps the
+    node rows of every size class and the node degrees, 4 bytes per member slot
+    and 8 per node.  It knows the two by identity only, so it makes them
+    read-only: replace them, do not write them (a write through another view,
+    such as a base array, goes unseen).  While the labels are equal in the same
+    dtype (as floats, distinct int64 labels can be equal), it hands out its last
+    census again, read-only.  A new partition costs one label gather and the
+    vote.  A census keeps the edge count and volume it was taken at, not hg, so
+    a later change to hg leaves it as it was.
     """
     labels = partition.member_of if isinstance(partition, CommunityAssignment) else np.asarray(partition)
     kept, counted = hg._census or (None, None)
-    if not (kept is not None and kept[0] is hg.offsets and _same_values(kept[1], hg.members)):
-        hg._census = kept = counted = None   # free the old copies first
-        kept = (hg.offsets, hg.members.copy(), list(hg.size_classes()), hg.degrees())
-        for arr in (hg.offsets, *(nodes for _, nodes in kept[2])):
+    if not (kept and kept[0] is hg.offsets and kept[1] is hg.members):
+        hg._census = kept = counted = None   # free the old rows first
+        kept = (hg.offsets, hg.members, list(hg.size_classes()), hg.degrees())
+        for arr in (hg.offsets, hg.members, *(nodes for _, nodes in kept[2])):
             arr.flags.writeable = False
-    if not (counted is not None and _same_values(counted[0], labels)):
+    if not (counted and counted[0].dtype == labels.dtype and np.array_equal(counted[0], labels)):
         arrays = _count_compositions(hg.n, *kept[2:], labels)
         for arr in arrays:
             arr.flags.writeable = False
         counted = (labels.copy(), *arrays)
     hg._census = (kept, counted)
     return Census(hg.edge_count, hg.volume, *counted[1:], kept[2])
-
-
-def _same_values(kept: np.ndarray, arr: np.ndarray) -> bool:
-    """Whether arr equals the kept copy in shape, dtype (as floats, distinct int64 labels can
-    compare equal) and values; int32 compares as int64 views of the even prefix, then the tail."""
-    if kept.shape != arr.shape or kept.dtype != arr.dtype:
-        return False
-    if kept.dtype != np.int32 or arr.ndim != 1 or not arr.flags.c_contiguous:
-        return bool(np.array_equal(kept, arr))
-    even = len(arr) & ~1
-    return bool(np.array_equal(kept[:even].view(np.int64), arr[:even].view(np.int64))
-                and np.array_equal(kept[even:], arr[even:]))
 
 
 def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -77,7 +77,7 @@ class Hypergraph:
     offsets: np.ndarray   # int64, length edge_count + 1, offsets[0] == 0
     members: np.ndarray   # int32, length offsets[-1]
     origins: np.ndarray   # int32 per edge
-    # arrays of the last census and of what it was taken from; see metrics.census
+    # the census memo, kept while offsets and members are the same arrays; see metrics.census
     _census: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -151,7 +151,8 @@ class Hypergraph:
 
         The hypergraph takes ownership of ``members`` and ``origins`` when
         they are already int32: it keeps them without a copy and sorts
-        ``members`` in place.  Pass copies to keep the originals.
+        ``members`` in place.  Pass copies to keep the originals, and a copy
+        of a scored hypergraph's ``members``, which scoring made read-only.
         """
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         offsets[1:] = sizes  # summed in place: no int64 copy of narrow sizes

@@ -148,11 +148,17 @@ class TestCensusEquivalence:
 
 
     def test_census_kept_before_rewire_scores_like_a_fresh_copy(self):
-        # the repair permutes members in place; the kept census must not go stale
+        # the repair permutes members in place, which a scored hypergraph
+        # refuses before any write; a copy of its arrays can be repaired
         hg = generate(default_params(2000, seed=4, simple=False)).hypergraph
         labels = np.random.default_rng(4).integers(0, 40, size=hg.n)
         census(hg, labels)
         before = hg.members.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            rewire(hg, np.random.default_rng(4))
+        assert np.array_equal(hg.members, before)
+        assert_scores_like_a_fresh_copy(hg, labels)
+        hg = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
         assert rewire(hg, np.random.default_rng(4)) == 0
         assert not np.array_equal(hg.members, before)
         fresh = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
@@ -212,7 +218,11 @@ class TestCensusMemo:
         hg, labels = case
         census(hg, labels)
         if change == "members written":
-            hg.members[:] = np.random.default_rng(6).permutation(hg.members)
+            before = hg.members.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                hg.members[:] = np.random.default_rng(6).permutation(hg.members)
+            assert np.array_equal(hg.members, before)
+            hg.members = np.random.default_rng(6).permutation(hg.members)   # a new array is seen
             hg.sort_members()
         else:
             # split off the first slot of every edge
@@ -233,7 +243,7 @@ class TestCensusMemo:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held <= 8 * hg.volume + 8 * hg.n + labels.nbytes + results + 4096
+        assert held <= 4 * hg.volume + 8 * hg.n + labels.nbytes + results + 4096
 
     def test_repeat_scores_like_a_fresh_copy(self, case):
         hg, labels = case
@@ -247,22 +257,29 @@ class TestCensusMemo:
         after = assert_scores_like_a_fresh_copy(hg, labels)
         assert not np.array_equal(after.counts, before)
 
-    def test_members_written_in_place_recount(self):
-        # as the repair does: the same arrays, new contents
+    def test_members_written_in_place_are_refused(self):
+        # the memo keeps members by identity, as it does offsets, so an in-place write would go unseen
         hg = hg_from(10, [[1, 2, 3], [7, 8, 9]])
         labels = [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
         assert type_histogram(hg, labels)[(3, 3)] == 1
-        hg.members[:3] = [4, 5, 6]   # edge 0 now lies in part 1
+        with pytest.raises(ValueError, match="read-only"):
+            hg.members[:3] = [4, 5, 6]
+        with pytest.raises(ValueError, match="read-only"):
+            hg.sort_members()
+        assert hg.members.tolist() == [1, 2, 3, 7, 8, 9]
+        hg.members = np.array([4, 5, 6, 7, 8, 9], dtype=np.int32)   # a new array: edge 0 lies in part 1
         assert type_histogram(hg, labels)[(3, 3)] == 2
         assert_scores_like_a_fresh_copy(hg, labels)
 
-    def test_odd_volume_last_slot_written_recounts(self):
-        # the kept copy is compared 8 bytes at a time, so an odd last slot is the tail
+    def test_odd_volume_last_slot_written_is_refused(self):
         hg = hg_from(6, [[0, 1], [2, 3, 4]])
         labels = [0, 0, 1, 1, 1, 0]
         assert hg.volume % 2 == 1
         assert type_histogram(hg, labels)[(3, 3)] == 1
-        hg.members[-1] = 5   # edge 1 is now [2, 3, 5]: two slots in part 1
+        with pytest.raises(ValueError, match="read-only"):
+            hg.members[-1] = 5
+        assert hg.members.tolist() == [0, 1, 2, 3, 4]
+        hg.members = np.array([0, 1, 2, 3, 5], dtype=np.int32)   # edge 1 is [2, 3, 5]: two slots in part 1
         assert type_histogram(hg, labels)[(3, 3)] == 0
         assert_scores_like_a_fresh_copy(hg, labels)
 
@@ -274,7 +291,13 @@ class TestCensusMemo:
         hg.members = buffer[1:]   # 4 bytes past an aligned start: equal values, new array
         assert not hg.members[:2].view(np.int64).flags.aligned
         assert_scores_like_a_fresh_copy(hg, labels)
-        hg.members[:] = np.random.default_rng(7).permutation(hg.members)
+        before = hg.members.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            hg.members[:] = np.random.default_rng(7).permutation(hg.members)
+        assert np.array_equal(hg.members, before)
+        buffer = np.empty(hg.volume + 1, dtype=np.int32)
+        buffer[1:] = np.random.default_rng(7).permutation(hg.members)
+        hg.members = buffer[1:]
         hg.sort_members()
         assert_scores_like_a_fresh_copy(hg, labels)
 
@@ -296,6 +319,25 @@ class TestCensusMemo:
         hg.offsets = np.array([0, 1, 4])   # a new array is seen
         assert type_histogram(hg, labels) == {(1, 1): 1, (0, 3): 0, (2, 3): 1, (3, 3): 0}
         assert_scores_like_a_fresh_copy(hg, labels)
+
+    @pytest.mark.parametrize("simple", [True, False])
+    def test_generate_returns_an_unscored_writeable_hypergraph(self, simple):
+        # the repair writes members in place, so nothing may score before it
+        hg = generate(default_params(2000, seed=5, simple=simple)).hypergraph
+        assert hg.members.flags.writeable and hg.offsets.flags.writeable
+        assert hg._census is None
+
+    def test_from_sizes_takes_a_copy_of_scored_members(self, case):
+        # from_sizes sorts an int32 members array in place, which scoring made read-only
+        hg, labels = case
+        census(hg, labels)
+        before = hg.members.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members, hg.origins)
+        assert np.array_equal(hg.members, before)
+        copy = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins)
+        assert np.array_equal(copy.members, before)
+        assert_scores_like_a_fresh_copy(copy, labels)
 
     def test_census_keeps_its_score_after_hg_changes(self):
         hg = hg_from(4, [[0, 1], [2, 3]])
