@@ -272,7 +272,9 @@ def generate(params: GeneratorParams) -> GenerationResult:
     simple mode) the rewiring pass.  Per-phase wall-clock timings are recorded
     in the result.
     """
-    from .rewiring import rewire  # deferred to avoid a cycle
+    # looked up on each call, so a wrapper set on rewiring.rewire (bench/tracer.py
+    # sets one) is the one called; it also keeps rewiring.py out of CLI start-up
+    from .rewiring import rewire
 
     validate(params)
     timings: dict[str, float] = {}

@@ -119,7 +119,8 @@ def indisposition(rows: np.ndarray, owners: np.ndarray, table: RowTable) -> np.n
 
 
 def _classify(hg: Hypergraph):
-    """Flag defective edges and index the rows of the repeat-free ones.
+    """Queue the defective edges and index the rows of the repeat-free ones;
+    returns the queue, the row table and the widest edge's size.
 
     An edge is defective when it repeats a node or equals an earlier edge;
     the first of several equal edges stays intact.  Rows are compared only
@@ -130,6 +131,9 @@ def _classify(hg: Hypergraph):
     sizes = hg.sizes()
     if not sizes.all():
         raise ValueError("cannot repair a hypergraph with an empty edge")
+    stray = np.flatnonzero(hg.origins < ORIGIN_SINGLETON)
+    if len(stray):
+        raise ValueError(f"edge {stray[0]} has origin {hg.origins[stray[0]]}, below {ORIGIN_SINGLETON}")
     widest = int(sizes.max(initial=0))
     sizes = sizes.astype(np.min_scalar_type(widest))   # one byte per edge while sizes fit
     bad = np.empty(hg.edge_count, dtype=bool)
@@ -146,7 +150,7 @@ def _classify(hg: Hypergraph):
     if len(tie):
         runs = keys[np.union1d(tie, tie + 1)] & ((1 << bits) - 1)
         bad[runs[_later_copies(_rows(hg, runs, widest), runs)]] = True
-    return bad, RowTable(hg, keys, bits)
+    return np.flatnonzero(bad), RowTable(hg, keys, bits), widest
 
 
 def _split(rows_b: np.ndarray, rows_g: np.ndarray, rng: np.random.Generator):
@@ -173,7 +177,8 @@ def _split(rows_b: np.ndarray, rows_g: np.ndarray, rng: np.random.Generator):
 def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     """Repair the hypergraph in place; returns how many defective edges remain.
 
-    Works in rounds over the queue of defective edges.  Each round:
+    Works in rounds over the queue of defective edges; an edge is intact
+    when it is not queued.  Each round:
 
     1. re-scores the queue; an edge whose defect has vanished (its duplicate
        counterpart changed) turns intact and draws no partner;
@@ -196,13 +201,11 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     within each edge stay sorted throughout.
 
     Raises UnrepairableError when no intact edge is available to merge with,
-    and ValueError when an edge is empty.
+    and ValueError on an empty edge or an origin below ``ORIGIN_SINGLETON``.
     """
-    bad, table = _classify(hg)
-    queue = np.flatnonzero(bad)
+    queue, table, width = _classify(hg)
     if not len(queue):
         return 0
-    width = int(hg.sizes().max())
     groups = hg.origins - ORIGIN_SINGLETON   # singletons, background, then communities
     # edge ids ordered by group, then id.  The stable sort is fast because
     # origins come in a few long runs: generate lays out singletons, then
@@ -212,12 +215,6 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     by_group = np.argsort(groups, kind="stable").astype(np.int32)
     total = np.bincount(groups)
     first = np.cumsum(total) - total
-
-    def tally(edges):
-        return np.bincount(groups[edges], minlength=len(total))
-
-    intact = ~bad
-    live = tally(intact)
     background = ORIGIN_BACKGROUND - ORIGIN_SINGLETON
     rejections = np.zeros(len(queue), dtype=np.int64)
     budget, draws = BUDGET_PER_BAD * len(queue), 0
@@ -226,16 +223,15 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
         rows = _rows(hg, queue, width)
         score = indisposition(rows, queue, table)
         stale = score == 0   # a former duplicate whose counterpart has changed
-        intact[queue[stale]] = True
-        live += tally(queue[stale])
         queue, rejections, rows, score = (a[~stale] for a in (queue, rejections, rows, score))
         if not len(queue):
             break
-        if not live.sum():
+        if len(queue) == hg.edge_count:
             raise UnrepairableError(
                 "no intact edge left to merge with while defective edges remain")
         draws += len(queue)
 
+        live = total - np.bincount(groups[queue], minlength=len(total))
         level = rejections // WIDEN_AFTER
         own = groups[queue]
         pick = np.where((level == 0) & (live[own] > 0), own,
@@ -244,7 +240,9 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
         span = np.where(pick >= 0, total[pick], hg.edge_count)
         slot = lo + np.minimum((rng.random(len(queue)) * span).astype(np.int64), span - 1)
         partner = by_group[slot].astype(np.int64)
-        pairs = np.flatnonzero(intact[partner])
+        queued = np.zeros(hg.edge_count, dtype=bool)
+        queued[queue] = True
+        pairs = np.flatnonzero(~queued[partner])
         pairs = pairs[~_later_copies(partner[pairs, None], pairs)]
 
         b, g = queue[pairs], partner[pairs]
@@ -264,9 +262,6 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
 
         spoilt = g[accept[i2[accept] > 0]]
         mended = pairs[accept[i1[accept] == 0]]
-        intact[spoilt] = False
-        intact[queue[mended]] = True
-        live += tally(queue[mended]) - tally(spoilt)
         rejections[np.delete(pairs, accept)] += 1
         queue = np.concatenate([np.delete(queue, mended), spoilt])
         rejections = np.concatenate([np.delete(rejections, mended), np.zeros_like(spoilt)])

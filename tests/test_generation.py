@@ -18,6 +18,7 @@ from hgbench.generation import (
     distribute_internal,
     generate,
 )
+from hgbench import rewiring
 from hgbench.structures import ORIGIN_BACKGROUND, ORIGIN_SINGLETON
 
 
@@ -296,6 +297,22 @@ class TestGenerate:
             assert e not in seen
             seen.add(e)
         assert incidence_identity(res)
+
+    def test_simple_mode_repairs_through_the_module_attribute(self, monkeypatch):
+        # generate looks rewire up when it runs, so a wrapper set on the
+        # module (as bench/tracer.py sets one) is the one it calls
+        calls = []
+        inner = rewiring.rewire
+
+        def spy(hg, rng):
+            calls.append(hg.edge_count)
+            return inner(hg, rng)
+
+        monkeypatch.setattr(rewiring, "rewire", spy)
+        generate(small_params(seed=31))
+        assert calls == []
+        res = generate(small_params(simple=True, seed=31))
+        assert calls == [res.hypergraph.edge_count]
 
     def test_simple_vs_multi_share_degree_profile(self):
         a = generate(small_params(seed=37))

@@ -1,4 +1,5 @@
 """Repair-loop unit oracles and end-to-end simplicity checks."""
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,12 @@ class TestSmallRepairs:
     def test_empty_edge_is_refused(self):
         hg = Hypergraph.from_edge_lists(4, [[0, 1], [], [2, 2]])
         with pytest.raises(ValueError, match="empty edge"):
+            rewire(hg, np.random.default_rng(0))
+
+    def test_origin_below_singleton_is_refused(self):
+        hg = Hypergraph.from_edge_lists(4, [[0, 1], [2, 2], [1, 3]])
+        hg.origins[1] = -5
+        with pytest.raises(ValueError, match="edge 1 has origin -5"):
             rewire(hg, np.random.default_rng(0))
 
     def test_budget_exhaustion_reports_leftovers(self):
@@ -239,6 +246,20 @@ class TestOnGeneratedGraphs:
             tracemalloc.stop()
         assert peak <= 9 * hg.volume + 64 * 1024
 
+    def test_round_loop_fits_its_memory_budget(self):
+        # tracemalloc sees numpy's buffers; the rounds keep the queue as their
+        # only record of defective edges, with no intact mask or live counts
+        hg = generate(default_params(2**15, seed=1, simple=False)).hypergraph
+        warm = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
+        assert rewire(warm, np.random.default_rng(1)) == 0   # numpy's one-time caches
+        tracemalloc.start()
+        try:
+            assert rewire(hg, np.random.default_rng(1)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27 * hg.edge_count + 64 * 1024
+
     @pytest.mark.slow
     def test_simple_outputs_across_seeds(self):
         # medium graphs, many seeds: output must always be simple
@@ -247,6 +268,34 @@ class TestOnGeneratedGraphs:
             assert res.warnings == []
             dup_slot, dup_edge = classify_output(res.hypergraph)
             assert not dup_slot and not dup_edge
+
+
+class TestCrowdedRepairDigests:
+    """Fixed inputs shaped like ``crowded_multigraphs`` that reach the
+    repair's rare paths, pinned by the sha256 of ``members`` after the repair
+    and by its return value.  Between them they promote a stale duplicate,
+    wait on queued and on taken partners, pass a level-0 draw on from an
+    origin with no intact edge left, reject an equal row written twice in
+    one round, draw at levels 1 and 2, and run out of budget."""
+
+    CASES = {
+        "levels-1-and-2": (4, [[3, 2, 2], [3, 2, 2], [0, 1], [0, 1], [1, 3, 0], [1, 3, 0]],
+                           [0, 0, -1, 0, 1, -1], 245, 0,
+                           "0b2e87da40b3c4b3212377985d3d5dba99f3e976d44193969f6333e0c1f4914a"),
+        "pass-on-to-all": (6, [[5, 0], [2], [5, 0], [2]], [0, 1, -1, 0], 658, 0,
+                           "c220db52a559f279061d5077bdf3e1021b34a1d4b453c8332688144f22001a3c"),
+        "budget-spent": (6, [[5], [4, 4], [5], [5], [4, 4], [3, 2], [5], [4, 4], [5], [3, 2], [3, 2]],
+                         [-1, 0, 0, 0, 1, 0, 1, 1, -1, 1, 0], 838, 3,
+                         "bc281fad9ca2c42d61ae55a8efcd5d822cb40e6c6e3b035bd8298554bf635aca"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_members_match_pinned_digests(self, case):
+        n, edges, origins, seed, left, digest = self.CASES[case]
+        hg = Hypergraph.from_edge_lists(n, edges)
+        hg.origins[:] = origins
+        assert rewire(hg, np.random.default_rng(seed)) == left
+        assert hashlib.sha256(hg.members.tobytes()).hexdigest() == digest
 
 
 @st.composite
