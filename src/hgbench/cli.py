@@ -264,6 +264,12 @@ _BYTE_CLASS = np.full(256, -1, dtype=np.int8)
 _BYTE_CLASS[list(b" \t\n\r\v\f")] = 0
 _BYTE_CLASS[ord("0"): ord("9") + 1] = 1
 
+_BLOCK = 1 << 20   # bytes _scan reads at a time; each block is cut back to whole lines
+_HEAD = re.compile(rb"(?:[ \t\v\f]*\n|#[^\n]*\n?)*")   # the leading blank and '#' lines
+# _scan's faults, highest rank first; a byte that is not UTF-8 outranks them
+# all, so it raises at once
+_HEADER, _BAD_BYTE, _WIDE = range(3)
+
 
 def _fail(path: str, lineno: int, why: str):
     raise ValueError(f"{path}:{lineno}: {why}")
@@ -275,69 +281,111 @@ def _line(path: str, lineno: int) -> str:
         return next(itertools.islice(handle, lineno - 1, None)).strip()
 
 
-def _scan(path: str, bad: str, noun: str, width: int | None = None):
-    """Tokenize a data file of unsigned decimal ids in bulk.
+def _line_blocks(path: str):
+    """The bytes of a file in blocks of whole lines, every newline made ``\\n``.
 
-    Returns (ids, bounds, header, line_of): every id in file order as int64;
-    the bounds of each line that holds ids once '#' comments are removed
-    (line j holds ``ids[bounds[j]:bounds[j+1]]``); the header's ``nodes=`` and
-    ``edges=`` as {key: (value, line number)}; and ``line_of(k)``, id k's line.
-    The header is the run of blank and '#' lines before the first other
-    line: a key in a later comment is not read.
-
-    Newlines are universal.  A ValueError naming ``path:line`` is raised for
-    a byte that is not UTF-8, and outside comments for a byte that is neither
-    a digit nor whitespace ("<bad>, got <line>") or an id with more than
-    ``width`` digits ("<noun> <id> has more than ...").  ``width`` defaults to
-    the digits of ``nodes=``; no id or header value may pass 18, so all fit int64.
+    A block is about ``_BLOCK`` bytes.  A partial line waits for the next
+    block, and so does a final ``\\r``, which may start a ``\\r\\n``; a line
+    longer than the block doubles the next read.
     """
     with open(path, "rb") as handle:
-        raw = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not raw.isascii():
-        try:
-            raw.decode()
-        except UnicodeDecodeError as exc:
-            _fail(path, raw.count(b"\n", 0, exc.start) + 1, f"byte {raw[exc.start]:#x} is not UTF-8")
-    header = {}
-    head = re.match(rb"(?:[ \t\v\f]*\n|#[^\n]*\n?)*", raw)[0]   # the leading blank and '#' lines
+        rest = b""
+        while chunk := handle.read(max(_BLOCK, len(rest))):
+            text = rest + chunk
+            held = text.endswith(b"\r")
+            text = text[:len(text) - held].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            cut = text.rfind(b"\n") + 1
+            rest = text[cut:] + b"\r" * held
+            if cut:
+                yield text[:cut]
+    if rest:
+        yield rest.replace(b"\r", b"\n")
+
+
+def _scan(path: str, bad: str, noun: str, width: int | None = None):
+    """Tokenize a data file of unsigned decimal ids, one block of whole lines
+    at a time, so no whole-file copy is ever held.
+
+    Returns (header, blocks).  ``header`` holds the header's ``nodes=`` and
+    ``edges=`` as {key: (value, line number)}; the header is the run of blank
+    and '#' lines before the first other line, so a key in a later comment
+    is not read.  ``blocks`` yields (ids, bounds, lines) per block: its ids
+    in file order as int64; the bounds of each of its lines that hold ids
+    once '#' comments are removed (the j-th holds ``ids[bounds[j]:bounds[j+1]]``);
+    and the numbers of those lines in the file.
+
+    Newlines are universal.  Faults raise a ValueError naming ``path:line``,
+    from the highest rank down: a byte that is not UTF-8; a header value
+    with more than 18 digits; outside comments, a byte that is neither a
+    digit nor whitespace ("<bad>, got <line>"); an id with more than
+    ``width`` digits ("<noun> <id> has more than ...").  ``width`` defaults
+    to the digits of ``nodes=``, so every id fits int64.  ``blocks`` yields
+    no block from the first fault on; it reads on for a fault of higher rank
+    and raises the first fault of the highest rank found.
+    """
+    texts = _line_blocks(path)
+    head = []
+    for text in texts:   # the header ends in the first block that is not all header
+        head.append(text)
+        if _HEAD.match(text).end() < len(text):
+            break
+    head_text = b"".join(head)
+    head_text = head_text[: _HEAD.match(head_text).end()]
+    header, fault = {}, None
     for key in ("nodes", "edges"):
-        found = re.search(rb"\b" + key.encode() + rb"=(\d+)", head)
+        found = re.search(rb"\b" + key.encode() + rb"=(\d+)", head_text)
         if found:
-            lineno = head.count(b"\n", 0, found.start()) + 1
+            lineno = head_text.count(b"\n", 0, found.start()) + 1
             if len(found[1]) > 18:
-                _fail(path, lineno, f"header {key}= has more than 18 digits")
+                fault = _HEADER, lineno, f"header {key}= has more than 18 digits"
+                break
             header[key] = int(found[1]), lineno
     if width is None:
         width = len(str(header["nodes"][0])) if "nodes" in header else 18
-    text = re.sub(rb"#[^\n]*", b"", raw)      # comments go, line breaks stay
-    del raw
-    buf = np.frombuffer(text, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
 
-    def line_at(pos) -> int:
-        return int(np.searchsorted(newlines, pos)) + 1
+    def blocks(fault):
+        line = 1   # the number of the next block's first line
+        for text in itertools.chain(head, texts):
+            first, line = line, line + text.count(b"\n")
+            if not text.isascii():
+                try:
+                    text.decode()
+                except UnicodeDecodeError as exc:
+                    _fail(path, first + text.count(b"\n", 0, exc.start),
+                          f"byte {text[exc.start]:#x} is not UTF-8")
+            if fault and fault[0] <= _BAD_BYTE:
+                continue
+            text = re.sub(rb"#[^\n]*", b"", text)   # comments go, line breaks stay
+            buf = np.frombuffer(text, dtype=np.uint8)
+            breaks = np.flatnonzero(buf == ord("\n"))
+            kind = _BYTE_CLASS[buf]
+            if (kind < 0).any():
+                lineno = first + int(np.searchsorted(breaks, np.argmax(kind < 0)))
+                fault = _BAD_BYTE, lineno, f"{bad}, got {_line(path, lineno)}"
+                continue
+            if fault:
+                continue
+            # a token is a run of digits: it starts and ends where the digit mask flips
+            flips = np.flatnonzero(np.diff(kind.view(bool), prepend=False, append=False))
+            starts, ends = flips.reshape(-1, 2).T
+            wide = np.flatnonzero(ends - starts > width)
+            if len(wide):
+                k = wide[0]
+                fault = (_WIDE, first + int(np.searchsorted(breaks, starts[k])),
+                         f"{noun} {text[starts[k]: ends[k]].decode()} has more than {width} digits")
+                continue
+            # fromstring reads a block with no tokens as [0]
+            ids = np.fromstring(text, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
+            if not text.endswith(b"\n"):
+                breaks = np.append(breaks, len(buf))   # the file's last line ends with it
+            # a line holds ids when more ids start before its break than before the one above
+            after = np.searchsorted(starts, breaks)
+            full = np.flatnonzero(np.diff(after, prepend=0))
+            yield ids, np.append(0, after[full]), first + full
+        if fault:
+            _fail(path, *fault[1:])
 
-    kind = _BYTE_CLASS[buf]
-    if (kind < 0).any():
-        lineno = line_at(np.argmax(kind < 0))
-        _fail(path, lineno, f"{bad}, got {_line(path, lineno)}")
-    # a token is a run of digits: it starts and ends where the digit mask flips
-    flips = np.flatnonzero(np.diff(kind.view(bool), prepend=False, append=False))
-    starts, ends = flips.reshape(-1, 2).T
-    del buf, kind
-    wide = np.flatnonzero(ends - starts > width)
-    if len(wide):
-        k = wide[0]
-        _fail(path, line_at(starts[k]),
-              f"{noun} {text[starts[k]: ends[k]].decode()} has more than {width} digits")
-    # fromstring reads a body with no tokens as [0]
-    ids = np.fromstring(text, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
-    del text
-    # a line's ids end at the first token after its line break; a blank line ends none
-    after = np.searchsorted(starts, newlines)
-    bounds = np.append(0, after[np.diff(after, prepend=0) > 0])
-    bounds = np.append(bounds[bounds < len(ids)], len(ids))
-    return ids, bounds, header, lambda k: line_at(starts[k])
+    return header, blocks(fault)
 
 
 def read_edges_file(path: str) -> list[list[int]]:
@@ -346,19 +394,34 @@ def read_edges_file(path: str) -> list[list[int]]:
     Every line that is not blank once '#' comments are removed is one edge:
     node ids in 1..n, with n from the header's ``nodes=`` (else the largest
     id).  When the header gives ``edges=``, the file must have that many
-    edge lines.  The first fault raises a ValueError naming ``path:line``.
+    edge lines.  The lists are built block by block as ``_scan`` reads the
+    file.  A fault raises a ValueError naming ``path:line``: the first of
+    the highest rank, where ``_scan``'s faults rank above an id outside
+    1..n, and that above a wrong ``edges=``.
     """
-    ids, bounds, header, line_of = _scan(path, "expected node ids", "node id")
-    n = header["nodes"][0] if "nodes" in header else int(ids.max(initial=0))
-    bad = np.flatnonzero((ids < 1) | (ids > n))
-    if len(bad):
-        _fail(path, line_of(bad[0]), f"node id {ids[bad[0]]} is outside 1..{n}")
-    if "edges" in header and header["edges"][0] != len(bounds) - 1:
-        edges, lineno = header["edges"]
-        _fail(path, lineno, f"header says edges={edges}, but the file has {len(bounds) - 1} edge lines")
-    del line_of    # frees the token bounds before the lists are built
-    ids -= 1
-    return member_lists(ids, bounds)
+    header, blocks = _scan(path, "expected node ids", "node id")
+    n = header["nodes"][0] if "nodes" in header else None
+    lists, edges, top, outside = [], 0, 0, None
+    for ids, bounds, lines in blocks:
+        edges += len(lines)
+        if n is None:
+            top = max(top, int(ids.max(initial=0)))
+        if outside:
+            continue
+        bad = np.flatnonzero((ids < 1) if n is None else (ids < 1) | (ids > n))
+        if len(bad):
+            k = bad[0]
+            outside = int(lines[np.searchsorted(bounds, k, "right") - 1]), int(ids[k])
+            lists = []   # no lists are built after a fault
+            continue
+        ids -= 1
+        lists += member_lists(ids, bounds)
+    if outside:
+        _fail(path, outside[0], f"node id {outside[1]} is outside 1..{top if n is None else n}")
+    if "edges" in header and header["edges"][0] != edges:
+        count, lineno = header["edges"]
+        _fail(path, lineno, f"header says edges={count}, but the file has {edges} edge lines")
+    return lists
 
 
 def read_assignment_file(path: str) -> np.ndarray:
@@ -366,25 +429,32 @@ def read_assignment_file(path: str) -> np.ndarray:
 
     The node count n comes from the header's ``nodes=`` field, or else from
     the number of data lines.  Every node 1..n needs exactly one line
-    "node community" with a positive community id; the first fault raises a
-    ValueError naming ``path:line``.
+    "node community" with a positive community id.  A fault raises a
+    ValueError naming ``path:line``: ``_scan``'s first, then the first of
+    these checks, in this order.
     """
-    ids, bounds, header, line_of = _scan(path, "bad number", "number", width=18)
-    wrong = np.flatnonzero(np.diff(bounds) != 2)
+    header, blocks = _scan(path, "bad number", "number", width=18)
+    ids, counts, lines = ([np.empty(0, np.int64)] for _ in range(3))
+    for block_ids, bounds, block_lines in blocks:
+        ids.append(block_ids)
+        counts.append(np.diff(bounds))
+        lines.append(block_lines)
+    ids, counts, lines = map(np.concatenate, (ids, counts, lines))
+    wrong = np.flatnonzero(counts != 2)
     if len(wrong):
-        lineno = line_of(bounds[wrong[0]])
+        lineno = int(lines[wrong[0]])
         _fail(path, lineno, f"expected 'node community', got {_line(path, lineno)!r}")
     node, comm = ids.reshape(-1, 2).T
     n = header["nodes"][0] if "nodes" in header else len(node)
     bad = np.flatnonzero((node < 1) | (node > n) | (comm < 1))
     if len(bad):
         k = bad[0]
-        _fail(path, line_of(2 * k), f"node must be in 1..{n} and community >= 1, got {node[k]} {comm[k]}")
+        _fail(path, lines[k], f"node must be in 1..{n} and community >= 1, got {node[k]} {comm[k]}")
     order = np.argsort(node, kind="stable")
     repeats = order[1:][node[order[1:]] == node[order[:-1]]]
     if len(repeats):
         k = repeats.min()
-        _fail(path, line_of(2 * k), f"node {node[k]} is assigned twice")
+        _fail(path, lines[k], f"node {node[k]} is assigned twice")
     if len(node) < n:
         # ids are distinct and in range, so the first gap is a missing node
         gaps = np.flatnonzero(node[order] != np.arange(1, len(node) + 1))

@@ -237,7 +237,8 @@ def build_background_edges(z: np.ndarray, params: GeneratorParams,
         if params.simple:
             has_singleton = np.zeros(n, dtype=bool)
             has_singleton[singleton_owners] = True
-            ok = len(np.unique(tail)) == r and not has_singleton[tail].any()
+            ordered = np.sort(tail)
+            ok = not (ordered[1:] == ordered[:-1]).any() and not has_singleton[tail].any()
         if ok:
             rows.append((1, ORIGIN_SINGLETON, r))
             return rows, pool

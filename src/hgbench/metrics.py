@@ -8,6 +8,7 @@ labels are normalized internally, so any labeling scheme works.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +55,47 @@ class TwoSection:
     heavy: np.ndarray         # int64 indices of the pairs with weight above 1
 
 
-def two_section(hg: Hypergraph) -> TwoSection:
-    """Clique expansion of the hypergraph; each deduplicated edge gives unit pairs."""
-    # int64 seeds: no pairs is no error, and ids below 2**31 pack as (u << 32) | v in (u, v) order
-    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+def _pair_keys(hg: Hypergraph) -> np.ndarray:
+    """The int64 key (u << 32) | v of each node pair u < v of each edge,
+    repeated slots collapsed first; ids are below 2**31, so keys sort in (u, v)
+    order.  One array, sized for edges without repeated slots, is filled
+    class by class and column pair by column pair."""
+    per_size = np.bincount(hg.sizes())
+    size = np.arange(len(per_size))
+    key = np.empty(int((per_size * (size * (size - 1) // 2)).sum()), dtype=np.int64)
+    filled = 0
     for d, rows in hg.size_classes():
         firsts = np.ones(rows.shape, dtype=bool)
         firsts[1:] = rows[1:] != rows[:-1]
-        i, j = np.triu_indices(d, 1)
-        sel = firsts[i] & firsts[j]
-        us.append(rows[i][sel])
-        vs.append(rows[j][sel])
-    key = np.concatenate(us) << 32 | np.concatenate(vs)
-    uniq, weight = np.unique(key, return_counts=True)
-    pair_u, pair_v = uniq >> 32, uniq & 0xFFFFFFFF
+        for i, j in itertools.combinations(range(d), 2):
+            sel = firsts[i] & firsts[j]
+            part = key[filled: filled + np.count_nonzero(sel)]
+            np.left_shift(rows[i][sel], 32, out=part, dtype=np.int64)
+            part |= rows[j][sel]
+            filled += len(part)
+    return key[:filled]
+
+
+def two_section(hg: Hypergraph) -> TwoSection:
+    """Clique expansion of the hypergraph; each deduplicated edge gives unit pairs.
+
+    The pair keys are sorted in place, and a pair's weight is the length of
+    its run of equal keys.
+    """
+    key = _pair_keys(hg)
+    key.sort()
+    new = np.empty(len(key), dtype=bool)   # True where a distinct pair starts
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    weight = np.empty(len(starts), dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=weight[:-1])
+    weight[-1:] = len(key) - starts[-1:]
+    pair_v = key[starts]
+    del key, starts
+    pair_u = pair_v >> 32
+    pair_v &= 0xFFFFFFFF
     degree = np.add(np.bincount(pair_u, weights=weight, minlength=hg.n),
                     np.bincount(pair_v, weights=weight, minlength=hg.n), dtype=np.float64)
     return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()), np.flatnonzero(weight > 1))

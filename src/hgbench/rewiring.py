@@ -148,7 +148,9 @@ def _classify(hg: Hypergraph):
     keys.sort()
     tie = np.flatnonzero(((keys[1:] ^ keys[:-1]) >> bits) == 0)
     if len(tie):
-        runs = keys[np.union1d(tie, tie + 1)] & ((1 << bits) - 1)
+        in_tie = np.zeros(len(keys), dtype=bool)
+        in_tie[tie] = in_tie[tie + 1] = True
+        runs = keys[in_tie] & ((1 << bits) - 1)
         bad[runs[_later_copies(_rows(hg, runs, widest), runs)]] = True
     return np.flatnonzero(bad), RowTable(hg, keys, bits), widest
 
@@ -212,8 +214,22 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     # communities in ascending order, then background, and from_edge_lists
     # gives all background.  On shuffled origins it would take about 5x as
     # long as one sort of packed (group << bits | id) keys.
-    by_group = np.argsort(groups, kind="stable").astype(np.int32)
-    total = np.bincount(groups)
+    order = np.argsort(groups, kind="stable")
+    # rank the groups in that order, so the per-group arrays are as long as
+    # the number of origins; singletons stay 0 and background 1, empty or not
+    rank = groups[order]
+    singletons, communities = np.searchsorted(rank, np.array([1, 2], dtype=rank.dtype)).tolist()
+    rise = np.ones(len(rank), dtype=bool)   # where a community's edges start
+    np.not_equal(rank[1:], rank[:-1], out=rise[1:])
+    rise[:communities] = False
+    rank[:] = rise
+    np.cumsum(rank, out=rank)
+    rank[singletons:] += 1
+    groups[order] = rank
+    del rank, rise
+    by_group = order.astype(np.int32)
+    del order
+    total = np.bincount(groups, minlength=2)
     first = np.cumsum(total) - total
     background = ORIGIN_BACKGROUND - ORIGIN_SINGLETON
     rejections = np.zeros(len(queue), dtype=np.int64)
@@ -252,7 +268,9 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
         accept = np.flatnonzero(i1 + i2 < score[pairs])
         rank = np.tile(accept, 2)
         twice = _later_copies(np.concatenate([new_b[accept], new_g[accept]]), rank)
-        accept = np.setdiff1d(accept, rank[twice])
+        repeated = np.zeros(len(b), dtype=bool)
+        repeated[rank[twice]] = True
+        accept = accept[~repeated[accept]]
 
         edges = np.concatenate([b[accept], g[accept]])
         written = np.concatenate([new_b[accept], new_g[accept]])

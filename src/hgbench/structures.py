@@ -168,7 +168,7 @@ class Hypergraph:
         sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
         members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,
                               count=int(sizes.sum()))
-        return cls.from_sizes(n, sizes, members, np.full(len(edges), ORIGIN_BACKGROUND))
+        return cls.from_sizes(n, sizes, members, np.full(len(edges), ORIGIN_BACKGROUND, dtype=np.int32))
 
 
 @dataclass

@@ -7,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -427,6 +429,23 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_simple_strict_run_loads_no_numpy_ma(tmp_path):
+    # numpy's set routines (unique, union1d, setdiff1d) import numpy.ma, about
+    # 15 ms per process; the probe counts the repair's scoring calls, so the
+    # round loop is known to have run
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = ("import sys; from hgbench import cli, rewiring; calls = []; "
+             "score = rewiring.indisposition; "
+             "rewiring.indisposition = lambda *a: calls.append(1) or score(*a); "
+             "code = cli.main(['--n', '2000', '--seed', '1', '--w-model', 'strict', "
+             f"'--out', {str(tmp_path / 'ma')!r}]); "
+             "print(code, len(calls) > 0, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split()[-3:] == ["0", "True", "False"]
+
+
 def test_pyproject_runtime_needs_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -487,6 +506,12 @@ class TestAssignmentReader:
         path.write_bytes(self.HEADER.encode() + b"1 1\n2 \xff\n3 2\n4 1\n")
         with pytest.raises(ValueError, match=r"x\.assign:4: byte 0xff is not UTF-8"):
             read_assignment_file(str(path))
+
+    def test_scanner_faults_outrank_later_checks(self, tmp_path):
+        # a line with three fields comes before a bad byte, which wins
+        path = self.write(tmp_path, "1 1 1\n2 x\n3 2\n4 1\n")
+        with pytest.raises(ValueError, match=r"x\.assign:4: bad number, got 2 x$"):
+            read_assignment_file(path)
 
     def test_without_header_the_line_count_is_n(self, tmp_path):
         assert read_assignment_file(self.write(tmp_path, "2 1\n1 3\n", header="")).tolist() == [2, 0]
@@ -561,6 +586,23 @@ class TestEdgesReader:
     def test_keys_after_the_header_are_not_read(self, tmp_path, header, body, edges):
         assert read_edges_file(self.write(tmp_path, body, header=header)) == edges
 
+    @pytest.mark.parametrize("header, body, fault", [
+        ("", b"1 x\n2\n3 \xff\n", r"x\.edges:3: byte 0xff is not UTF-8"),
+        ("# nodes=" + "9" * 19 + "\n", b"1 2\n3 \xff\n", r"x\.edges:3: byte 0xff is not UTF-8"),
+        (HEADER, b"1 22\n2 x\n3\n", r"x\.edges:4: expected node ids, got 2 x$"),
+        (HEADER, b"1 6\n2 22\n3\n", r"x\.edges:4: node id 22 has more than 1 digits"),
+        (HEADER, b"1 6\n2\n", r"x\.edges:3: node id 6 is outside 1\.\.5"),
+        ("", b"1 2\n0\n3 8\n", r"x\.edges:2: node id 0 is outside 1\.\.8"),
+    ], ids=["utf8-over-byte", "utf8-over-header", "byte-over-width", "width-over-range",
+            "range-over-count", "range-names-the-largest-id"])
+    def test_fault_of_highest_rank_wins(self, tmp_path, header, body, fault):
+        # the lower-ranked fault comes first in the file: not UTF-8, then a
+        # bad byte, a too-wide id, an id out of range, a wrong edges=
+        path = tmp_path / "x.edges"
+        path.write_bytes(header.encode() + body)
+        with pytest.raises(ValueError, match=fault):
+            read_edges_file(str(path))
+
     def test_collector_state_is_restored(self, tmp_path):
         good = self.write(tmp_path, "1 2\n3\n4 5\n")
         bad = str(tmp_path / "bad.edges")
@@ -602,6 +644,65 @@ def test_readers_return_or_name_a_line(tmp_path, data):
             found = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
             assert found, str(exc)
             assert 1 <= int(found[1]) <= len(data.splitlines())
+
+
+@pytest.fixture(params=[1, 2, 7, 64])
+def small_blocks(request, monkeypatch):
+    """Read in blocks of a few bytes, so lines, CR LF pairs and the header
+    span block boundaries."""
+    monkeypatch.setattr(cli, "_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestAssignmentReaderInSmallBlocks(TestAssignmentReader):
+    """Every assignment-reader test again, with blocks of a few bytes."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestEdgesReaderInSmallBlocks(TestEdgesReader):
+    """Every edges-reader test again, with blocks of a few bytes."""
+
+
+def outcome(reader, path):
+    try:
+        result = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return result if isinstance(result, list) else result.tolist()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.lists(st.sampled_from(FRAGMENTS), max_size=24).map(b"".join))
+def test_block_size_changes_no_outcome(tmp_path, data):
+    """Each reader gives the same result, or the same message, for every
+    block size."""
+    path = tmp_path / "fuzz.data"
+    path.write_bytes(data)
+    for reader in (read_edges_file, read_assignment_file):
+        whole = outcome(reader, str(path))
+        for block in (1, 2, 7, 64):
+            with mock.patch.object(cli, "_BLOCK", block):
+                assert outcome(reader, str(path)) == whole, block
+
+
+def test_reader_holds_a_few_blocks_beside_its_lists(tmp_path):
+    # numpy reports its buffers to tracemalloc.  Past the lists it returns,
+    # the reader holds about 14 bytes per byte of a 16 KiB block; with the
+    # whole file's ids and line bounds it held 4.5 MB on this 1.9 MB file
+    path = str(tmp_path / "x.edges")
+    hg = generate(default_params(2**15, seed=1)).hypergraph
+    write_edges_file(path, hg, 1)
+    block = 1 << 14
+    with mock.patch.object(cli, "_BLOCK", block):
+        read_edges_file(path)   # numpy's one-time caches
+        tracemalloc.start()
+        try:
+            edges = read_edges_file(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert edges == hg.edge_lists()
+    assert peak - held <= 20 * block, (peak - held) / block
 
 
 def test_names_the_benchmark_looks_up_exist():

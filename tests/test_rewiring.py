@@ -125,6 +125,29 @@ class TestSmallRepairs:
         with pytest.raises(ValueError, match="edge 1 has origin -5"):
             rewire(hg, np.random.default_rng(0))
 
+    def test_group_arrays_count_origins_not_their_largest_id(self):
+        # a duplicate edge with origin 10**7 draws, by rank, like origin 0:
+        # the per-group arrays were as long as the largest origin (381 MiB)
+        traced, small = [], None
+        for origin in (0, 10**7):
+            hg = Hypergraph.from_edge_lists(4, [[0, 1], [0, 1], [2, 3]])
+            hg.origins[1] = origin
+            tracemalloc.start()
+            try:
+                assert rewire(hg, np.random.default_rng(3)) == 0
+                traced.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert small is None or hg.edge_lists() == small
+            small = hg.edge_lists()
+        assert traced[1] <= 64 * 1024, traced
+
+    def test_background_can_be_drawn_when_it_has_no_edge(self):
+        # all singletons: the background is an empty group, not a missing one
+        hg = Hypergraph.from_edge_lists(3, [[0], [0], [1]])
+        hg.origins[:] = -2
+        assert rewire(hg, np.random.default_rng(0)) == 1
+
     def test_budget_exhaustion_reports_leftovers(self):
         # two nodes only: every re-split of {1,1} with {0,1} keeps a defect
         hg = Hypergraph.from_edge_lists(2, [[1, 1], [0, 1]])
