@@ -478,23 +478,19 @@ def _score_line(name: str, score, *args) -> str:
         return f"{name} undefined"
 
 
+# how the report shows a setting's value, by its converter (others: str)
+_SHOW = {float: _fmt, _parse_q: lambda q: ",".join(map(_fmt, q)), _parse_bool: lambda b: str(b).lower()}
+
+
 def _params_lines(params: GeneratorParams, w_model: str) -> list[str]:
-    return [
-        "[params]",
-        f"n {params.n}",
-        f"gamma {_fmt(params.gamma)}",
-        f"delta {params.min_degree}",
-        f"D {params.max_degree}",
-        f"beta {_fmt(params.beta)}",
-        f"s {params.min_size}",
-        f"S {params.max_size}",
-        f"xi {_fmt(params.xi)}",
-        f"L {params.max_edge_size}",
-        "q " + ",".join(_fmt(v) for v in params.q),
-        f"w_model {w_model}",
-        f"simple {str(params.simple).lower()}",
-        f"seed {params.seed}",
-    ]
+    """[params]: each generator setting in _SETTINGS order, and w_model."""
+    lines = ["[params]"]
+    for key, convert, _, _ in _SETTINGS:
+        field = _FIELD.get(key, key)
+        if key == "w_model" or field in _PARAM_FIELDS:
+            value = w_model if key == "w_model" else getattr(params, field)
+            lines.append(f"{key} {_SHOW.get(convert, str)(value)}")
+    return lines
 
 
 def write_report_file(path: str, result, params: GeneratorParams,

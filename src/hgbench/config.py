@@ -70,6 +70,26 @@ class WeightMatrix:
         return cls(max_edge_size, values)
 
 
+def _triangle(max_edge_size: int) -> np.ndarray:
+    """Mask of the admissible cells lowest_majority_count(d) <= c <= d on the dense [c, d] grid."""
+    c, d = np.indices((max_edge_size + 1, max_edge_size + 1))
+    return (lowest_majority_count(d) <= c) & (c <= d)
+
+
+def _weight_family(model_name: str, field: str, max_edge_size: int, formulas: dict) -> WeightMatrix:
+    """formulas[model_name](c, d, lo, k) on the admissible triangle and zero elsewhere, with
+    lo = lowest_majority_count(d) and k = d - lo + 1; an unknown name is reported as ``field``."""
+    if model_name not in WEIGHT_MODELS:
+        raise InvalidParameters([ParameterIssue(
+            field, model_name, f"unknown model, expected one of {WEIGHT_MODELS}")])
+    tri = _triangle(max_edge_size)
+    c, d = np.nonzero(tri)
+    lo = lowest_majority_count(d)
+    values = np.zeros(tri.shape)
+    values[c, d] = formulas[model_name](c, d, lo, d - lo + 1)
+    return WeightMatrix(max_edge_size, values)
+
+
 def build_weight_matrix(model_name: str, max_edge_size: int) -> WeightMatrix:
     """Construct one of the three standard weight matrices.
 
@@ -77,21 +97,11 @@ def build_weight_matrix(model_name: str, max_edge_size: int) -> WeightMatrix:
     linear:   weight grows linearly with c.
     strict:   all weight on c = d (edges fully inside their community).
     """
-    if model_name not in WEIGHT_MODELS:
-        raise InvalidParameters([ParameterIssue(
-            "w_model", model_name, f"unknown model, expected one of {WEIGHT_MODELS}")])
-    values = np.zeros((max_edge_size + 1, max_edge_size + 1))
-    for d in range(1, max_edge_size + 1):
-        lo = lowest_majority_count(d)
-        k = d - lo + 1  # number of admissible counts, equals ceil(d/2)
-        for c in range(lo, d + 1):
-            if model_name == "majority":
-                values[c, d] = 1.0 / k
-            elif model_name == "linear":
-                values[c, d] = 2.0 * c / ((d + lo) * k)
-            else:  # strict
-                values[c, d] = 1.0 if c == d else 0.0
-    return WeightMatrix(max_edge_size, values)
+    return _weight_family(model_name, "w_model", max_edge_size, {
+        "majority": lambda c, d, lo, k: 1.0 / k,
+        "linear": lambda c, d, lo, k: 2.0 * c / ((d + lo) * k),
+        "strict": lambda c, d, lo, k: np.where(c == d, 1.0, 0.0),
+    })
 
 
 def modularity_weights(model_name: str, max_edge_size: int) -> WeightMatrix:
@@ -104,19 +114,11 @@ def modularity_weights(model_name: str, max_edge_size: int) -> WeightMatrix:
     linear:   a count of c out of d is worth c / d.
     strict:   only fully homogeneous edges (c = d) are worth 1.
     """
-    if model_name not in WEIGHT_MODELS:
-        raise InvalidParameters([ParameterIssue(
-            "u_model", model_name, f"unknown model, expected one of {WEIGHT_MODELS}")])
-    values = np.zeros((max_edge_size + 1, max_edge_size + 1))
-    for d in range(1, max_edge_size + 1):
-        for c in range(lowest_majority_count(d), d + 1):
-            if model_name == "majority":
-                values[c, d] = 1.0
-            elif model_name == "linear":
-                values[c, d] = c / d
-            else:  # strict
-                values[c, d] = 1.0 if c == d else 0.0
-    return WeightMatrix(max_edge_size, values)
+    return _weight_family(model_name, "u_model", max_edge_size, {
+        "majority": lambda c, d, lo, k: 1.0,
+        "linear": lambda c, d, lo, k: c / d,
+        "strict": lambda c, d, lo, k: np.where(c == d, 1.0, 0.0),
+    })
 
 
 @dataclass(frozen=True)
@@ -249,10 +251,7 @@ def validate(params: GeneratorParams) -> None:
             if np.any(~np.isfinite(vals)) or np.any(vals < 0) or np.any(vals > 1):
                 issues.append(ParameterIssue("w", None, "weights must lie in [0, 1]"))
             else:
-                tri = np.zeros_like(vals, dtype=bool)
-                for d in range(1, p.max_edge_size + 1):
-                    tri[lowest_majority_count(d): d + 1, d] = True
-                if np.any(vals[~tri] != 0):
+                if np.any(vals[~_triangle(p.max_edge_size)] != 0):
                     issues.append(ParameterIssue("w", None, "nonzero weight outside the admissible (c, d) triangle"))
                 for d in range(1, p.max_edge_size + 1):
                     if abs(p.w.row(d).sum() - 1.0) > PROB_TOL:
@@ -272,16 +271,3 @@ def validate(params: GeneratorParams) -> None:
             stacklevel=2,
         )
 
-
-__all__ = [
-    "MAX_N",
-    "PROB_TOL",
-    "WEIGHT_MODELS",
-    "GeneratorParams",
-    "WeightMatrix",
-    "build_weight_matrix",
-    "default_params",
-    "lowest_majority_count",
-    "modularity_weights",
-    "validate",
-]

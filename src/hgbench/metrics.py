@@ -288,8 +288,6 @@ def type_histogram(hg: Hypergraph, partition) -> dict[tuple[int, int], int]:
 class StatsReport:
     """Distributional statistics of one generated hypergraph."""
 
-    node_count: int
-    edge_count: int
     community_count: int
     degree_k: np.ndarray
     degree_ccdf: np.ndarray
@@ -317,8 +315,6 @@ def ccdf_report(hg: Hypergraph, truth: CommunityAssignment,
     by_size = np.bincount(hg.sizes(), minlength=params.max_edge_size + 1)
     share = by_size * np.arange(len(by_size)) / max(hg.volume, 1)
     return StatsReport(
-        node_count=hg.n,
-        edge_count=hg.edge_count,
         community_count=len(truth.sizes),
         degree_k=np.arange(params.min_degree, params.max_degree + 1),
         degree_ccdf=_tail_fraction(hg.degrees(), params.min_degree, params.max_degree),

@@ -230,7 +230,7 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     by_group = order.astype(np.int32)
     del order
     total = np.bincount(groups, minlength=2)
-    first = np.cumsum(total) - total
+    first, total = np.append(np.cumsum(total) - total, 0), np.append(total, hg.edge_count)
     background = ORIGIN_BACKGROUND - ORIGIN_SINGLETON
     rejections = np.zeros(len(queue), dtype=np.int64)
     budget, draws = BUDGET_PER_BAD * len(queue), 0
@@ -250,11 +250,10 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
         live = total - np.bincount(groups[queue], minlength=len(total))
         level = rejections // WIDEN_AFTER
         own = groups[queue]
-        pick = np.where((level == 0) & (live[own] > 0), own,
+        pick = np.where((level == 0) & (live[own] > 0), own,  # -1: the last group, all edges
                         np.where((level <= 1) & (live[background] > 0), background, -1))
-        lo = np.where(pick >= 0, first[pick], 0)
-        span = np.where(pick >= 0, total[pick], hg.edge_count)
-        slot = lo + np.minimum((rng.random(len(queue)) * span).astype(np.int64), span - 1)
+        span = total[pick]
+        slot = first[pick] + np.minimum((rng.random(len(queue)) * span).astype(np.int64), span - 1)
         partner = by_group[slot].astype(np.int64)
         queued = np.zeros(hg.edge_count, dtype=bool)
         queued[queue] = True

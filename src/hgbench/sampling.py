@@ -25,9 +25,7 @@ class PowerLawTable:
     so one table amortizes over any number of draws.
     """
 
-    exponent: float
     lo: int
-    hi: int
     pmf: np.ndarray
     cdf: np.ndarray
     mean: float
@@ -51,7 +49,7 @@ def truncated_power_law(exponent: float, lo: int, hi: int) -> PowerLawTable:
     pmf = weights / weights.sum()
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0  # guard the top bin against accumulated rounding
-    return PowerLawTable(float(exponent), lo, hi, pmf, cdf, float((pmf * support).sum()))
+    return PowerLawTable(lo, pmf, cdf, float((pmf * support).sum()))
 
 
 def stochastic_round(value: float, rng: np.random.Generator) -> int:

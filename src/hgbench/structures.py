@@ -165,7 +165,7 @@ class Hypergraph:
     @classmethod
     def from_edge_lists(cls, n: int, edges) -> "Hypergraph":
         """Background edges from member-id lists in any order; stored sorted."""
-        sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+        sizes = np.fromiter(map(len, edges), dtype=np.int32, count=len(edges))
         members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,
                               count=int(sizes.sum()))
         return cls.from_sizes(n, sizes, members, np.full(len(edges), ORIGIN_BACKGROUND, dtype=np.int32))

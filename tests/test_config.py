@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hgbench.config import (
     MAX_N,
     PROB_TOL,
+    WEIGHT_MODELS,
     GeneratorParams,
     WeightMatrix,
     build_weight_matrix,
@@ -71,8 +73,20 @@ def test_linear_weights_grow_linearly():
 
 
 def test_unknown_model_rejected():
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidParameters) as info:
         build_weight_matrix("plurality", 5)
+    assert info.value.issues[0].field == "w_model"
+
+
+def test_weight_families_match_their_digest():
+    # every family from both builders, L = 1..16, bit for bit: the digest
+    # was taken from per-cell Python loops over the admissible triangle
+    digest = hashlib.sha256()
+    for size in range(1, 17):
+        for name in WEIGHT_MODELS:
+            for build in (build_weight_matrix, modularity_weights):
+                digest.update(build(name, size).values.tobytes())
+    assert digest.hexdigest() == "f1b097cd373fcccc509f7f97756b076f1ea949b840188343902d11a1cf31eeba"
 
 
 def test_from_entries_rejects_outside_triangle():
@@ -228,5 +242,6 @@ class TestModularityWeights:
         assert u.values[1, 3] == 0.0
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InvalidParameters) as info:
             modularity_weights("uniform", 5)
+        assert info.value.issues[0].field == "u_model"

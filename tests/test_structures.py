@@ -93,6 +93,29 @@ class TestFromEdgeLists:
         assert hg.members.dtype == np.int32 and len(hg.members) == 0
         assert hg.edge_count == 0
 
+    def test_sizes_cost_four_bytes_per_edge(self):
+        # numpy reports its buffers to tracemalloc.  Beyond from_sizes' own
+        # working memory on the same arrays, from_edge_lists holds its edge
+        # sizes while it builds: 4 bytes per edge as int32 (8 as int64)
+        hg = generate(default_params(2**15, seed=1)).hypergraph
+        edges, sizes = hg.edge_lists(), hg.sizes().astype(np.int32)
+
+        def transient(build):
+            build()   # numpy's one-time caches
+            tracemalloc.start()
+            try:
+                built = build()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(built.members, hg.members)
+            return peak - held
+
+        listed = transient(lambda: Hypergraph.from_edge_lists(hg.n, edges))
+        own = transient(lambda: Hypergraph.from_sizes(
+            hg.n, sizes, hg.members.copy(), np.full(hg.edge_count, ORIGIN_BACKGROUND, dtype=np.int32)))
+        assert listed - own <= 4 * hg.edge_count + (64 << 10), (listed - own) / hg.edge_count
+
 
 # ids that sorting networks and sort(axis=1) must both order: the extremes
 # of int32 node ids and a few small ids, so that nodes repeat within edges
