@@ -507,6 +507,9 @@ def write_report_file(path: str, result, params: GeneratorParams,
         lines.append(f"# warning: {note}")
     lines.extend(_params_lines(params, settings["w_model"]))
 
+    if settings["modularity"] or settings["histograms"]:
+        cen = census(hg, truth.member_of)   # before ccdf_report, which reads its memo's degrees
+
     if settings["stats"]:
         rep = ccdf_report(hg, truth, params)
         lines += ["[degree_ccdf]", "K empirical model"]
@@ -519,9 +522,6 @@ def write_report_file(path: str, result, params: GeneratorParams,
         lines += ["[edge_sizes]", "size count volume_share"]
         for d in range(1, params.max_edge_size + 1):
             lines.append(f"{d} {rep.edge_size_counts[d - 1]} {_fmt(rep.volume_share[d - 1])}")
-
-    if settings["modularity"] or settings["histograms"]:
-        cen = census(hg, truth.member_of)
 
     if settings["modularity"]:
         lines += ["[modularity]", _score_line("two_section", cen.pairwise_modularity)]

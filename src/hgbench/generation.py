@@ -8,6 +8,7 @@ background edges, then rewiring (simple mode only).
 """
 from __future__ import annotations
 
+import ctypes
 import time
 
 import numpy as np
@@ -24,6 +25,17 @@ from .structures import (
     GenerationResult,
     Hypergraph,
 )
+
+
+def _trim_heap() -> None:
+    """Hand the heap pages of freed blocks back to the OS: glibc's ``malloc_trim``,
+    looked up per call so that importing costs nothing; a no-op elsewhere."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):   # another C library, or no dlopen(NULL)
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def allocate_edge_counts(pool: int, q: np.ndarray, max_edge_size: int):
@@ -331,4 +343,7 @@ def generate(params: GeneratorParams) -> GenerationResult:
         background_degree=z,
         internal_degree=y_int,
     )
+    # glibc keeps the freed pools, repeats and buffers resident; where the
+    # caller's next large arrays land among them would set its peak
+    _trim_heap()
     return GenerationResult(hg, assignment, profiles, timings, warnings_list)

@@ -2,14 +2,14 @@
 
 The functions read the hypergraph and a node partition and return numbers
 or plain data.  They change neither, but ``census`` leaves a memo (node
-rows and the last census) on the hypergraph and makes its ``offsets`` and
-``members`` read-only.  Partitions are given as an integer label per node;
-labels are normalized internally, so any labeling scheme works.
+rows and the last census) on the hypergraph, and it and ``two_section`` make
+its ``offsets`` and ``members`` read-only.  Partitions are given as a label
+per node; labels are normalized internally, so any labeling scheme works.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,9 +22,8 @@ from .structures import CommunityAssignment, Hypergraph
 GATHER_CHUNK = 1 << 15   # indices per np.take call in _gather: its intp copy of them is 256 KiB
 
 
-def _normalize_partition(labels, n: int):
+def _normalize_partition(arr: np.ndarray, n: int):
     """Contiguous 0-based part labels in sorted label order, plus the part count."""
-    arr = labels.member_of if isinstance(labels, CommunityAssignment) else np.asarray(labels)
     if arr.shape != (n,):
         raise ValueError(f"partition must label all {n} nodes, got shape {arr.shape}")
     # node ids are int32, so the part ids of n nodes fit too
@@ -44,6 +43,7 @@ class TwoSection:
     The pairs u < v are distinct and sorted by (u, v); parallel pairs from
     different hyperedges add up their weight.  Repeated slots within one
     hyperedge collapse first, so it gives each unordered pair at most once.
+    It keeps the hypergraph it was built from, whose census scores it.
     """
 
     n: int
@@ -53,6 +53,8 @@ class TwoSection:
     degree: np.ndarray        # weighted degree per node, float64 even with no pair
     total_weight: int
     heavy: np.ndarray         # int64 indices of the pairs with weight above 1
+    hypergraph: Hypergraph = field(repr=False, compare=False)
+    built_from: tuple = field(repr=False, compare=False)   # the hypergraph's (offsets, members)
 
 
 def _pair_keys(hg: Hypergraph) -> np.ndarray:
@@ -80,8 +82,10 @@ def two_section(hg: Hypergraph) -> TwoSection:
     """Clique expansion of the hypergraph; each deduplicated edge gives unit pairs.
 
     The pair keys are sorted in place, and a pair's weight is the length of
-    its run of equal keys.
+    its run of equal keys.  Like ``census``, it makes ``offsets`` and
+    ``members`` read-only.
     """
+    hg.offsets.flags.writeable = hg.members.flags.writeable = False
     key = _pair_keys(hg)
     key.sort()
     new = np.empty(len(key), dtype=bool)   # True where a distinct pair starts
@@ -98,22 +102,18 @@ def two_section(hg: Hypergraph) -> TwoSection:
     pair_v &= 0xFFFFFFFF
     degree = np.add(np.bincount(pair_u, weights=weight, minlength=hg.n),
                     np.bincount(pair_v, weights=weight, minlength=hg.n), dtype=np.float64)
-    return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()), np.flatnonzero(weight > 1))
+    return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()),
+                      np.flatnonzero(weight > 1), hg, (hg.offsets, hg.members))
 
 
 def graph_modularity(graph: TwoSection, partition) -> float:
-    """Within-part edge fraction minus the squared volume fractions (labels gathered narrow)."""
-    if graph.total_weight == 0:
-        raise UndefinedInputError("graph modularity needs at least one edge")
-    parts, k = _normalize_partition(partition, graph.n)
-    narrow = parts.astype(np.min_scalar_type(k - 1))   # uint8 up to 256 parts
-    same = np.take(narrow, graph.pair_u) == np.take(narrow, graph.pair_v)
-    on, internal = same[graph.heavy], np.count_nonzero(same)   # weights are 1 but at heavy pairs
-    del same   # freed before the heavy weights are gathered
-    internal += int(np.einsum("i,i->", graph.weight[graph.heavy], on.view(np.uint8))) - np.count_nonzero(on)
-    vol_part = np.bincount(parts, weights=graph.degree, minlength=k)
-    tax = ((vol_part / graph.degree.sum()) ** 2).sum()
-    return float(internal / graph.total_weight - tax)
+    """Within-part edge fraction minus the squared volume fractions, as
+    ``census(graph.hypergraph, partition).pairwise_modularity()``; refused once
+    that hypergraph no longer holds the ``offsets`` and ``members`` of the graph."""
+    hg = graph.hypergraph
+    if graph.built_from[0] is not hg.offsets or graph.built_from[1] is not hg.members:
+        raise ValueError("the hypergraph no longer holds the edges this two-section was built from")
+    return census(hg, partition).pairwise_modularity()
 
 
 @dataclass
@@ -127,7 +127,9 @@ class Census:
     parts: np.ndarray          # part of every node
     slot_volume: np.ndarray    # member slots per part
     counts: np.ndarray
-    rows: list                 # list(hg.size_classes()): (d, node rows) per size class
+    same_pairs: int            # pairs of distinct members of one edge in one part
+    pair_total: int            # pairs of distinct members of one edge
+    pair_degree: np.ndarray    # such pairs per node: its two-section degree
 
     def hypergraph_modularity(self, u: WeightMatrix) -> float:
         """See the module-level ``hypergraph_modularity``."""
@@ -142,8 +144,7 @@ class Census:
             if edge_total == 0:
                 continue
             if d > u.max_edge_size:
-                raise ValueError(
-                    f"edge size {d} exceeds the weight matrix limit {u.max_edge_size}")
+                raise ValueError(f"edge size {d} exceeds the weight matrix limit {u.max_edge_size}")
             lo = lowest_majority_count(d)
             log_choose = log_binomial(d, np.arange(lo, d + 1))
             for c in range(lo, d + 1):
@@ -169,57 +170,70 @@ class Census:
         return out
 
     def pairwise_modularity(self) -> float:
-        """``graph_modularity(two_section(hg), partition)``, bit for bit, from
-        integer pair totals; each distinct member of an edge with D distinct
-        members adds D - 1 to its part's volume.  Labels are gathered narrow."""
-        internal = total = 0
-        k = len(self.slot_volume)
-        volume = np.zeros(k)
-        narrow = self.parts.astype(np.min_scalar_type(k + len(self.counts)))   # k + d fits
-        for d, nodes in self.rows:
-            first = np.ones(nodes.shape, dtype=bool)   # slots are sorted per edge
-            first[1:] = nodes[1:] != nodes[:-1]
-            gain = first.sum(axis=0) - 1   # distinct members less one
-            total += int((gain * (gain + 1) // 2).sum())
-            # a repeated slot gets a label no part has, so it pairs with nothing
-            labels = np.where(first, _gather(narrow, nodes), k + np.arange(d, dtype=narrow.dtype)[:, None])
-            internal += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
-            for row, keep in zip(labels, first):   # row by row: one row's temporaries at a time
-                volume += np.bincount(row[keep], weights=gain[keep], minlength=k)
-        if total == 0:
+        """``graph_modularity(two_section(hg), partition)``, which it computes:
+        the pair counts and the part volumes are the two-section's weights."""
+        if self.pair_total == 0:
             raise UndefinedInputError("graph modularity needs at least one edge")
-        return float(internal / total - ((volume / (2 * total)) ** 2).sum())
+        volume = np.bincount(self.parts, weights=self.pair_degree, minlength=len(self.slot_volume))
+        return float(self.same_pairs / self.pair_total - ((volume / (2 * self.pair_total)) ** 2).sum())
 
 
 def census(hg: Hypergraph, partition) -> Census:
     """Composition census of hg under a node partition (one label per node).
 
-    Hypergraph modularity depends on the edges only through the counts and the
-    part volumes, so one census serves every valuation.  hg keeps a two-level
-    memo.  While ``offsets`` and ``members`` are the same arrays, it keeps the
-    node rows of every size class and the node degrees, 4 bytes per member slot
-    and 8 per node.  It knows the two by identity only, so it makes them
+    The modularities depend on the edges only through its counts, volumes and
+    pairs, so one census serves every valuation.  hg keeps a two-level memo.
+    While ``offsets`` and ``members`` are the same arrays, it keeps the node
+    rows of every size class (4 bytes per member slot) and two degrees per node
+    (at most 8 bytes).  It knows the two by identity only, so it makes them
     read-only: replace them, do not write them (a write through another view,
     such as a base array, goes unseen).  While the labels are equal in the same
-    dtype (as floats, distinct int64 labels can be equal), it hands out its last
-    census again, read-only.  A new partition costs one label gather and the
-    vote.  A census keeps the edge count and volume it was taken at, not hg, so
-    a later change to hg leaves it as it was.
+    dtype (as floats, distinct int64 labels can be equal), it hands out its
+    last census again; a new partition costs one label gather and the vote.  A
+    census keeps the counts it was taken at, not hg.
     """
     labels = partition.member_of if isinstance(partition, CommunityAssignment) else np.asarray(partition)
-    kept, counted = hg._census or (None, None)
-    if not (kept and kept[0] is hg.offsets and kept[1] is hg.members):
-        hg._census = kept = counted = None   # free the old rows first
-        kept = (hg.offsets, hg.members, list(hg.size_classes()), hg.degrees())
-        for arr in (hg.offsets, hg.members, *(nodes for _, nodes in kept[2])):
-            arr.flags.writeable = False
+    if not _kept(hg):
+        hg._census = None   # free the old rows first
+        hg._census = (_members_level(hg), None)
+    kept, counted = hg._census
     if not (counted and counted[0].dtype == labels.dtype and np.array_equal(counted[0], labels)):
-        arrays = _count_compositions(hg.n, *kept[2:], labels)
-        for arr in arrays:
-            arr.flags.writeable = False
-        counted = (labels.copy(), *arrays)
+        counted = (labels.copy(), *_count_compositions(hg.n, *kept[2:4], labels))
     hg._census = (kept, counted)
-    return Census(hg.edge_count, hg.volume, *counted[1:], kept[2])
+    return Census(hg.edge_count, hg.volume, *counted[1:], *kept[4:])
+
+
+def _kept(hg: Hypergraph) -> tuple | None:
+    """The members level of hg's census memo, while it holds hg's offsets and members."""
+    kept = hg._census and hg._census[0]
+    return kept if kept and kept[0] is hg.offsets and kept[1] is hg.members else None
+
+
+def _members_level(hg: Hypergraph) -> tuple:
+    """``(offsets, members, classes, degree, pair_total, pair_degree)``, read-only;
+    ``classes`` holds ``(d, node rows, repeated, dup)`` per size class: the edges
+    with a repeated slot, and which of their slots repeat the one above.  One
+    count of each class's slots gives both degrees: a slot adds d - 1 pairs,
+    less what repeated slots add.  Each is kept in the narrowest dtype that fits."""
+    classes, last = [], 1
+    degree, pair_degree = np.zeros(hg.n, dtype=np.intp), np.zeros(hg.n, dtype=np.intp)
+    for d, rows in hg.size_classes():
+        # d - 1 per slot, summed as (last d - 1) per slot less each size step per slot below it
+        pair_degree -= degree if d == last + 1 else (d - last) * degree
+        for start in range(0, rows.size, 1 << 20):   # bincount copies its input to int64
+            degree += np.bincount(rows.reshape(-1)[start: start + (1 << 20)], minlength=hg.n)
+        repeated = np.flatnonzero((rows[1:] == rows[:-1]).any(axis=0))   # slots are sorted per edge
+        dup = np.zeros((d, len(repeated)), dtype=bool)
+        np.equal(rows[1:, repeated], rows[:-1, repeated], out=dup[1:])
+        np.subtract.at(pair_degree, rows[:, repeated], np.where(dup, d - 1, dup.sum(axis=0)))
+        classes.append((d, rows, repeated, dup))
+        last = d
+    pair_degree += (last - 1) * degree
+    pair_total = int(pair_degree.sum()) // 2
+    degree, pair_degree = (arr.astype(np.min_scalar_type(arr.max(initial=0))) for arr in (degree, pair_degree))
+    for arr in (hg.offsets, hg.members, degree, pair_degree, *(rows for _, rows, *_ in classes)):
+        arr.flags.writeable = False
+    return hg.offsets, hg.members, classes, degree, pair_total, pair_degree
 
 
 def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -231,21 +245,22 @@ def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_compositions(n: int, rows: list, degree: np.ndarray,
-                        partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The part of every node, the member slots per part and the counts.
+def _count_compositions(n: int, classes: list, degree: np.ndarray, partition) -> tuple:
+    """The part of every node, the member slots per part and the counts, all
+    read-only, and the same-part pairs of distinct members of one edge.
 
     Per size class, a Boyer-Moore vote down the slot positions leaves each
-    edge's only possible majority part as candidate; counting the
-    candidate's slots settles it, with no sort.  Labels are gathered narrow.
-    A part's slots are its nodes' degrees summed; as floats the sums are
-    exact below 2**53.
+    edge's only possible majority part as candidate; counting the candidate's
+    slots settles it, with no sort.  The same label rows give the pairs.
+    Labels are gathered narrow.  A part's slots are its nodes' degrees summed;
+    as floats the sums are exact below 2**53.
     """
     parts, k = _normalize_partition(partition, n)
-    narrow = parts.astype(np.min_scalar_type(k - 1))
-    top = rows[-1][0] if rows else 0
+    top = classes[-1][0] if classes else 0
+    narrow = parts.astype(np.min_scalar_type(k - 1 + top))   # room for a fill label k + i per slot i
     counts = np.zeros((top + 1, top + 1), dtype=np.int64)
-    for d, nodes in rows:
+    same = 0
+    for d, nodes, repeated, dup in classes:
         labels = _gather(narrow, nodes)
         cand = labels[0].copy()
         # after i rows the vote is 2 * matches - i, so it can be 0 only at even i
@@ -260,8 +275,15 @@ def _count_compositions(n: int, rows: list, degree: np.ndarray,
         for c in range(lowest_majority_count(d), d + 1):
             counts[d, c] = np.count_nonzero(hits == c)
         counts[d, 0] = len(hits) - counts[d].sum()
+        # a repeated slot gets a label no part has, so it pairs with nothing
+        labels[:, repeated] = np.where(dup, k + np.arange(d)[:, None], labels[:, repeated])
+        if d > 3 or len(repeated):
+            same += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
+        else:   # two slots of one part are the majority of an edge of 2 or 3 slots
+            same += sum(c * (c - 1) // 2 * int(counts[d, c]) for c in range(2, d + 1))
     volume = np.bincount(parts, weights=degree, minlength=k).astype(np.int64)
-    return parts, volume, counts
+    parts.flags.writeable = volume.flags.writeable = counts.flags.writeable = False
+    return parts, volume, counts, same
 
 
 def hypergraph_modularity(hg: Hypergraph, partition, u: WeightMatrix) -> float:
@@ -310,18 +332,17 @@ def ccdf_report(hg: Hypergraph, truth: CommunityAssignment,
                 params: GeneratorParams) -> StatsReport:
     """Empirical degree / community-size CCDFs with their model curves, plus
     per-size volume shares."""
-    deg_table = truncated_power_law(params.gamma, params.min_degree, params.max_degree)
-    size_table = truncated_power_law(params.beta, params.min_size, params.max_size)
     by_size = np.bincount(hg.sizes(), minlength=params.max_edge_size + 1)
     share = by_size * np.arange(len(by_size)) / max(hg.volume, 1)
+    kept = _kept(hg)   # a scored hypergraph's census memo holds its degrees
     return StatsReport(
         community_count=len(truth.sizes),
         degree_k=np.arange(params.min_degree, params.max_degree + 1),
-        degree_ccdf=_tail_fraction(hg.degrees(), params.min_degree, params.max_degree),
-        degree_ccdf_model=deg_table.ccdf(),
+        degree_ccdf=_tail_fraction(kept[3] if kept else hg.degrees(), params.min_degree, params.max_degree),
+        degree_ccdf_model=truncated_power_law(params.gamma, params.min_degree, params.max_degree).ccdf(),
         community_size_k=np.arange(params.min_size, params.max_size + 1),
         community_size_ccdf=_tail_fraction(truth.sizes, params.min_size, params.max_size),
-        community_size_ccdf_model=size_table.ccdf(),
+        community_size_ccdf_model=truncated_power_law(params.beta, params.min_size, params.max_size).ccdf(),
         volume_share=share[1:],
         edge_size_counts=by_size[1:],
     )

@@ -18,7 +18,7 @@ from hgbench.generation import (
     distribute_internal,
     generate,
 )
-from hgbench import rewiring
+from hgbench import generation, rewiring
 from hgbench.structures import ORIGIN_BACKGROUND, ORIGIN_SINGLETON
 
 
@@ -279,6 +279,26 @@ class TestGenerate:
             len(a.hypergraph.members) == len(c.hypergraph.members)
             and (a.hypergraph.members == c.hypergraph.members).all()
         )
+
+    def test_heap_trimmed_once_per_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(generation, "_trim_heap", lambda: calls.append(1))
+        generate(small_params(seed=23))
+        assert calls == [1]
+
+    def test_without_malloc_trim_the_output_is_unchanged(self, monkeypatch):
+        # the trim only hands free pages back; with another C library, where
+        # the lookup fails, the result is the same
+        expected = generate(small_params(simple=True, seed=23))
+
+        def no_libc(name):
+            raise OSError(f"no {name}")
+
+        monkeypatch.setattr(generation.ctypes, "CDLL", no_libc)
+        res = generate(small_params(simple=True, seed=23))
+        for name in ("offsets", "members", "origins"):
+            assert np.array_equal(getattr(res.hypergraph, name), getattr(expected.hypergraph, name))
+        assert np.array_equal(res.assignment.member_of, expected.assignment.member_of)
 
     def test_timings_and_warnings(self):
         res = generate(small_params(seed=29))

@@ -2,6 +2,7 @@
 import gc
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -379,6 +380,27 @@ class TestCensusMemo:
         for name in ("parts", "slot_volume", "counts"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    @pytest.mark.parametrize("change", ["members replaced", "offsets replaced"])
+    def test_graph_of_replaced_edges_is_refused(self, case, change):
+        # a graph scores through its hypergraph, so that must still hold the edges it was built from
+        hg, labels = case
+        graph = two_section(hg)
+        before = hg.members.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            hg.members[:] = np.random.default_rng(6).permutation(hg.members)
+        assert np.array_equal(hg.members, before)
+        want = graph_modularity(graph, labels)
+        if change == "members replaced":
+            hg.members = np.random.default_rng(6).permutation(hg.members)
+            hg.sort_members()
+        else:
+            hg.offsets = hg.offsets.copy()   # the same edges in a new array
+        with pytest.raises(ValueError, match="no longer holds the edges"):
+            graph_modularity(graph, labels)
+        graph = two_section(hg)
+        assert graph_modularity(graph, labels) == TestHeavyPairs.reference(graph, labels)
+        assert (graph_modularity(graph, labels) == want) == (change == "offsets replaced")
+
     def test_scored_hypergraph_is_freed_without_the_collector(self):
         hg = generate(default_params(2000, seed=5, simple=False)).hypergraph
         labels = np.random.default_rng(5).integers(0, 40, size=hg.n)
@@ -471,8 +493,9 @@ class TestNarrowLabels:
 
 
 class TestHeavyPairs:
-    """graph_modularity counts the same-part mask and reads weights only at
-    the heavy pairs, those of weight above 1."""
+    """graph_modularity scores through the census of the graph's hypergraph,
+    which counts a pair once for each edge that holds it; ``reference`` sums
+    the pair weights, heavy (above 1) ones included, over the same-part pairs."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -517,6 +540,57 @@ class TestHeavyPairs:
         assert np.all(graph.pair_u < graph.pair_v) and graph.pair_v.max() < graph.n
         for name in ("pair_u", "pair_v", "weight"):
             assert getattr(graph, name).dtype == np.int64
+
+
+@st.composite
+def partitioned_hypergraphs(draw):
+    """Edges of sizes 1-6 that may repeat slots and each other, over the
+    first nodes of up to 15 (the rest isolated), and labels of one kind:
+    integers with negatives, floats, or a CommunityAssignment."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = draw(st.lists(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=6),
+                          max_size=20))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    n += draw(st.integers(min_value=0, max_value=3))
+    kind = draw(st.sampled_from(["int", "float", "assignment"]))
+    if kind == "int":
+        labels = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)
+    elif kind == "float":
+        labels = np.array(draw(st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 3.0]),
+                                        min_size=n, max_size=n)))
+    else:
+        member_of = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)), dtype=np.int32)
+        labels = CommunityAssignment(np.bincount(member_of), member_of)
+    return hg_from(n, edges), labels
+
+
+class TestGraphModularityThroughCensus:
+    @given(case=partitioned_hypergraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_one_count_per_partition_scores_the_pair_sum(self, case):
+        hg, labels = case
+        graph = two_section(hg)
+        plain = getattr(labels, "member_of", labels)
+        counted = []
+        count = metrics._count_compositions
+        with mock.patch.object(metrics, "_count_compositions",
+                               lambda *args: counted.append(1) or count(*args)):
+            # the second partition has other labels, so it is counted anew
+            for calls, partition in enumerate((labels, plain - 1), start=1):
+                if graph.total_weight:
+                    want = TestHeavyPairs.reference(graph, getattr(partition, "member_of", partition))
+                    assert graph_modularity(graph, partition) == want
+                else:
+                    with pytest.raises(UndefinedInputError, match="graph modularity needs at least one edge"):
+                        graph_modularity(graph, partition)
+                for name in WEIGHT_MODELS:
+                    if hg.edge_count:
+                        hypergraph_modularity(hg, partition, modularity_weights(name, 6))
+                    else:
+                        with pytest.raises(UndefinedInputError):
+                            hypergraph_modularity(hg, partition, modularity_weights(name, 6))
+                type_histogram(hg, partition)
+                assert len(counted) == calls
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
