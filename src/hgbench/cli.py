@@ -39,7 +39,7 @@ from .errors import (
 )
 from .generation import generate
 from .metrics import ccdf_report, census
-from .structures import member_lists, size_runs
+from .structures import collector_paused, member_lists, size_runs
 
 # The report reads every modularity and histogram line from one census.  These
 # metrics stay importable from here, where bench/worker.py traces them.
@@ -250,19 +250,12 @@ def write_edges_file(path: str, hg, seed: int) -> None:
 
 def write_assignment_file(path: str, assignment, seed: int) -> None:
     """One line per node: "node community", both 1-based."""
-    member_of = assignment.member_of
-    n = len(member_of)
-    rows = np.column_stack((np.arange(1, n + 1), member_of + 1))
+    n = len(assignment.member_of)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# hgbench {__version__} assignments\n")
-        handle.write(f"# nodes={n} communities={len(assignment.sizes)} seed={seed}\n")
-        handle.write(("%d %d\n" * n) % tuple(rows.ravel().tolist()))
+        handle.write(f"# nodes={n} communities={len(assignment.sizes)} seed={seed}")
+        handle.write(_rows("%d %d", np.arange(1, n + 1), assignment.member_of + 1) + "\n")
 
-
-# byte -> 1 for a digit, 0 for whitespace, -1 for anything else
-_BYTE_CLASS = np.full(256, -1, dtype=np.int8)
-_BYTE_CLASS[list(b" \t\n\r\v\f")] = 0
-_BYTE_CLASS[ord("0"): ord("9") + 1] = 1
 
 _BLOCK = 1 << 20   # bytes _scan reads at a time; each block is cut back to whole lines
 _HEAD = re.compile(rb"(?:[ \t\v\f]*\n|#[^\n]*\n?)*")   # the leading blank and '#' lines
@@ -273,6 +266,12 @@ _HEADER, _BAD_BYTE, _WIDE = range(3)
 
 def _fail(path: str, lineno: int, why: str):
     raise ValueError(f"{path}:{lineno}: {why}")
+
+
+def _in_range(buf: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """``lo <= buf < lo + count`` in the array of ``buf - lo``, whose uint8 wraps."""
+    diff = np.subtract(buf, lo, dtype=np.uint8)
+    return np.less(diff, count, out=diff.view(bool))
 
 
 def _line(path: str, lineno: int) -> str:
@@ -293,7 +292,8 @@ def _line_blocks(path: str):
         while chunk := handle.read(max(_BLOCK, len(rest))):
             text = rest + chunk
             held = text.endswith(b"\r")
-            text = text[:len(text) - held].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if b"\r" in text:
+                text = text[:len(text) - held].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             cut = text.rfind(b"\n") + 1
             rest = text[cut:] + b"\r" * held
             if cut:
@@ -358,15 +358,17 @@ def _scan(path: str, bad: str, noun: str, width: int | None = None):
             text = re.sub(rb"#[^\n]*", b"", text)   # comments go, line breaks stay
             buf = np.frombuffer(text, dtype=np.uint8)
             breaks = np.flatnonzero(buf == ord("\n"))
-            kind = _BYTE_CLASS[buf]
-            if (kind < 0).any():
-                lineno = first + int(np.searchsorted(breaks, np.argmax(kind < 0)))
+            digit = _in_range(buf, ord("0"), 10)
+            ok = digit | _in_range(buf, ord("\t"), 5) | (buf == ord(" "))   # whitespace: \t-\r and space
+            if not ok.all():
+                lineno = first + int(np.searchsorted(breaks, np.argmin(ok)))
                 fault = _BAD_BYTE, lineno, f"{bad}, got {_line(path, lineno)}"
                 continue
+            del ok   # freed before the token arrays are made, which keeps the read's heap compact
             if fault:
                 continue
             # a token is a run of digits: it starts and ends where the digit mask flips
-            flips = np.flatnonzero(np.diff(kind.view(bool), prepend=False, append=False))
+            flips = np.flatnonzero(np.diff(digit, prepend=False, append=False))
             starts, ends = flips.reshape(-1, 2).T
             wide = np.flatnonzero(ends - starts > width)
             if len(wide):
@@ -395,27 +397,28 @@ def read_edges_file(path: str) -> list[list[int]]:
     node ids in 1..n, with n from the header's ``nodes=`` (else the largest
     id).  When the header gives ``edges=``, the file must have that many
     edge lines.  The lists are built block by block as ``_scan`` reads the
-    file.  A fault raises a ValueError naming ``path:line``: the first of
-    the highest rank, where ``_scan``'s faults rank above an id outside
-    1..n, and that above a wrong ``edges=``.
+    file, under one collector pause.  A fault raises a ValueError naming
+    ``path:line``: the first of the highest rank, where ``_scan``'s faults
+    rank above an id outside 1..n, and that above a wrong ``edges=``.
     """
     header, blocks = _scan(path, "expected node ids", "node id")
     n = header["nodes"][0] if "nodes" in header else None
     lists, edges, top, outside = [], 0, 0, None
-    for ids, bounds, lines in blocks:
-        edges += len(lines)
-        if n is None:
-            top = max(top, int(ids.max(initial=0)))
-        if outside:
-            continue
-        bad = np.flatnonzero((ids < 1) if n is None else (ids < 1) | (ids > n))
-        if len(bad):
-            k = bad[0]
-            outside = int(lines[np.searchsorted(bounds, k, "right") - 1]), int(ids[k])
-            lists = []   # no lists are built after a fault
-            continue
-        ids -= 1
-        lists += member_lists(ids, bounds)
+    with collector_paused():
+        for ids, bounds, lines in blocks:
+            edges += len(lines)
+            if n is None:
+                top = max(top, int(ids.max(initial=0)))
+            if outside:
+                continue
+            bad = np.flatnonzero((ids < 1) if n is None else (ids < 1) | (ids > n))
+            if len(bad):
+                k = bad[0]
+                outside = int(lines[np.searchsorted(bounds, k, "right") - 1]), int(ids[k])
+                lists = []   # no lists are built after a fault
+                continue
+            ids -= 1
+            lists += member_lists(ids, bounds)
     if outside:
         _fail(path, outside[0], f"node id {outside[1]} is outside 1..{top if n is None else n}")
     if "edges" in header and header["edges"][0] != edges:
@@ -434,12 +437,8 @@ def read_assignment_file(path: str) -> np.ndarray:
     these checks, in this order.
     """
     header, blocks = _scan(path, "bad number", "number", width=18)
-    ids, counts, lines = ([np.empty(0, np.int64)] for _ in range(3))
-    for block_ids, bounds, block_lines in blocks:
-        ids.append(block_ids)
-        counts.append(np.diff(bounds))
-        lines.append(block_lines)
-    ids, counts, lines = map(np.concatenate, (ids, counts, lines))
+    parts = [(np.empty(0, np.int64),) * 3] + [(ids, np.diff(bounds), lines) for ids, bounds, lines in blocks]
+    ids, counts, lines = map(np.concatenate, zip(*parts))
     wrong = np.flatnonzero(counts != 2)
     if len(wrong):
         lineno = int(lines[wrong[0]])
@@ -467,6 +466,11 @@ def read_assignment_file(path: str) -> np.ndarray:
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
+
+
+def _rows(template: str, *columns) -> str:
+    """A newline and a line per row of the columns, all formatted by one template."""
+    return ("\n" + template) * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist())
 
 
 def _score_line(name: str, score, *args) -> str:
@@ -512,16 +516,12 @@ def write_report_file(path: str, result, params: GeneratorParams,
 
     if settings["stats"]:
         rep = ccdf_report(hg, truth, params)
-        lines += ["[degree_ccdf]", "K empirical model"]
-        for k, emp, mod in zip(rep.degree_k, rep.degree_ccdf, rep.degree_ccdf_model):
-            lines.append(f"{k} {_fmt(emp)} {_fmt(mod)}")
-        lines += ["[community_size_ccdf]", "K empirical model"]
-        for k, emp, mod in zip(rep.community_size_k, rep.community_size_ccdf,
-                               rep.community_size_ccdf_model):
-            lines.append(f"{k} {_fmt(emp)} {_fmt(mod)}")
-        lines += ["[edge_sizes]", "size count volume_share"]
-        for d in range(1, params.max_edge_size + 1):
-            lines.append(f"{d} {rep.edge_size_counts[d - 1]} {_fmt(rep.volume_share[d - 1])}")
+        lines += ["[degree_ccdf]", "K empirical model" + _rows(
+            "%d %.10g %.10g", rep.degree_k, rep.degree_ccdf, rep.degree_ccdf_model)]
+        lines += ["[community_size_ccdf]", "K empirical model" + _rows(
+            "%d %.10g %.10g", rep.community_size_k, rep.community_size_ccdf, rep.community_size_ccdf_model)]
+        lines += ["[edge_sizes]", "size count volume_share" + _rows(
+            "%d %d %.10g", np.arange(1, params.max_edge_size + 1), rep.edge_size_counts, rep.volume_share)]
 
     if settings["modularity"]:
         lines += ["[modularity]", _score_line("two_section", cen.pairwise_modularity)]

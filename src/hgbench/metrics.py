@@ -2,14 +2,14 @@
 
 The functions read the hypergraph and a node partition and return numbers
 or plain data.  They change neither, but ``census`` leaves a memo (node
-rows and the last census) on the hypergraph, and it and ``two_section`` make
-its ``offsets`` and ``members`` read-only.  Partitions are given as a label
-per node; labels are normalized internally, so any labeling scheme works.
+rows and the last census) on the hypergraph, and it and ``two_section``, which
+builds no pairs, make its ``offsets`` and ``members`` read-only.  Partitions
+are a label per node, normalized internally, so any labeling scheme works.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,18 +43,42 @@ class TwoSection:
     The pairs u < v are distinct and sorted by (u, v); parallel pairs from
     different hyperedges add up their weight.  Repeated slots within one
     hyperedge collapse first, so it gives each unordered pair at most once.
-    It keeps the hypergraph it was built from, whose census scores it.
+    It keeps the hypergraph it was built from, whose census scores it; the
+    first read of a pair field builds all six from the ``built_from`` arrays.
     """
 
     n: int
-    pair_u: np.ndarray
-    pair_v: np.ndarray
-    weight: np.ndarray
-    degree: np.ndarray        # weighted degree per node, float64 even with no pair
-    total_weight: int
-    heavy: np.ndarray         # int64 indices of the pairs with weight above 1
+    pair_u: np.ndarray = field(init=False)
+    pair_v: np.ndarray = field(init=False)
+    weight: np.ndarray = field(init=False)
+    degree: np.ndarray = field(init=False)   # weighted degree per node, float64 even with no pair
+    total_weight: int = field(init=False)
+    heavy: np.ndarray = field(init=False)    # int64 indices of the pairs with weight above 1
     hypergraph: Hypergraph = field(repr=False, compare=False)
     built_from: tuple = field(repr=False, compare=False)   # the hypergraph's (offsets, members)
+
+    def __getattr__(self, name):   # runs for a field not yet set
+        if name not in ("pair_u", "pair_v", "weight", "degree", "total_weight", "heavy"):
+            raise AttributeError(name)
+        key = _pair_keys(replace(self.hypergraph, offsets=self.built_from[0], members=self.built_from[1]))
+        key.sort()   # a pair's weight is the length of its run of equal keys
+        new = np.empty(len(key), dtype=bool)   # True where a distinct pair starts
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        del new
+        weight = np.empty(len(starts), dtype=np.int64)
+        np.subtract(starts[1:], starts[:-1], out=weight[:-1])
+        weight[-1:] = len(key) - starts[-1:]
+        pair_v = key[starts]
+        del key, starts
+        pair_u = pair_v >> 32
+        pair_v &= 0xFFFFFFFF
+        degree = np.add(np.bincount(pair_u, weights=weight, minlength=self.n),
+                        np.bincount(pair_v, weights=weight, minlength=self.n), dtype=np.float64)
+        vars(self).update(pair_u=pair_u, pair_v=pair_v, weight=weight, degree=degree,
+                          total_weight=int(weight.sum()), heavy=np.flatnonzero(weight > 1))
+        return vars(self)[name]
 
 
 def _pair_keys(hg: Hypergraph) -> np.ndarray:
@@ -79,31 +103,10 @@ def _pair_keys(hg: Hypergraph) -> np.ndarray:
 
 
 def two_section(hg: Hypergraph) -> TwoSection:
-    """Clique expansion of the hypergraph; each deduplicated edge gives unit pairs.
-
-    The pair keys are sorted in place, and a pair's weight is the length of
-    its run of equal keys.  Like ``census``, it makes ``offsets`` and
-    ``members`` read-only.
-    """
+    """Clique expansion of the hypergraph, whose pairs are built when first
+    read.  Like ``census``, it makes ``offsets`` and ``members`` read-only."""
     hg.offsets.flags.writeable = hg.members.flags.writeable = False
-    key = _pair_keys(hg)
-    key.sort()
-    new = np.empty(len(key), dtype=bool)   # True where a distinct pair starts
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    del new
-    weight = np.empty(len(starts), dtype=np.int64)
-    np.subtract(starts[1:], starts[:-1], out=weight[:-1])
-    weight[-1:] = len(key) - starts[-1:]
-    pair_v = key[starts]
-    del key, starts
-    pair_u = pair_v >> 32
-    pair_v &= 0xFFFFFFFF
-    degree = np.add(np.bincount(pair_u, weights=weight, minlength=hg.n),
-                    np.bincount(pair_v, weights=weight, minlength=hg.n), dtype=np.float64)
-    return TwoSection(hg.n, pair_u, pair_v, weight, degree, int(weight.sum()),
-                      np.flatnonzero(weight > 1), hg, (hg.offsets, hg.members))
+    return TwoSection(hg.n, hg, (hg.offsets, hg.members))
 
 
 def graph_modularity(graph: TwoSection, partition) -> float:

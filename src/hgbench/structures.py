@@ -44,23 +44,27 @@ def size_runs(members: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
             e0, s0 = e1, s1
 
 
+class collector_paused:
+    """Pause the collector, and restore it on an exit that allocates nothing."""
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.enabled:
+            gc.enable()
+
+
 def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     """``members[offsets[i]:offsets[i+1]]`` as a list of Python ints, per edge i.
 
-    Each run of equal-size edges comes out of one 2-D ``tolist``.  The lists
-    hold only ints, so collector passes over them find nothing; the collector
-    is paused while they are built, which makes building them several times
-    faster.
+    Each run of equal-size edges comes out of one 2-D ``tolist``.  Build them
+    under ``collector_paused``, which makes building them several times faster.
     """
     lists: list[list[int]] = []
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for run in size_runs(members, offsets):
-            lists += run.tolist()
-    finally:
-        if enabled:
-            gc.enable()
+    for run in size_runs(members, offsets):
+        lists += run.tolist()
     return lists
 
 
@@ -102,7 +106,8 @@ class Hypergraph:
         return counts
 
     def edge_lists(self) -> list[list[int]]:
-        return member_lists(self.members, self.offsets)
+        with collector_paused():
+            return member_lists(self.members, self.offsets)
 
     def size_classes(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (d, rows) for every nonempty edge size d present, ascending:

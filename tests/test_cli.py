@@ -603,6 +603,28 @@ class TestEdgesReader:
         with pytest.raises(ValueError, match=fault):
             read_edges_file(str(path))
 
+    def test_every_byte_is_a_digit_whitespace_or_refused(self, tmp_path):
+        # outside comments a byte is a digit, whitespace (space \t \n \v \f \r)
+        # or a fault; a byte above 0x7f alone is not UTF-8
+        path = tmp_path / "x.edges"
+        for byte in range(256):
+            char = bytes([byte])
+            path.write_bytes(b"1" + char + b"2\n")
+            if char.isdigit():
+                want = [[int(b"1" + char + b"2") - 1]]
+            elif char in b" \t\v\f":
+                want = [[0, 1]]
+            elif char in b"\n\r":
+                want = [[0], [1]]
+            elif char == b"#":   # starts a comment
+                want = [[0]]
+            else:
+                fault = f"byte {byte:#x} is not UTF-8" if byte > 0x7F else "expected node ids, got"
+                with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: {fault}"):
+                    read_edges_file(str(path))
+                continue
+            assert read_edges_file(str(path)) == want, byte
+
     def test_collector_state_is_restored(self, tmp_path):
         good = self.write(tmp_path, "1 2\n3\n4 5\n")
         bad = str(tmp_path / "bad.edges")
@@ -703,6 +725,25 @@ def test_reader_holds_a_few_blocks_beside_its_lists(tmp_path):
             tracemalloc.stop()
     assert edges == hg.edge_lists()
     assert peak - held <= 20 * block, (peak - held) / block
+
+
+def test_reader_runs_no_collection(tmp_path):
+    # the collector is paused for the whole read: a pass between blocks
+    # would rescan every list built so far
+    path = str(tmp_path / "x.edges")
+    write_edges_file(path, generate(default_params(2**15, seed=1)).hypergraph, 1)
+    passes = []
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(lambda phase, info: passes.append(phase == "start"))
+    try:
+        read_edges_file(path)
+        during = sum(passes)
+    finally:
+        gc.callbacks.pop()
+        if not was:
+            gc.disable()
+    assert during == 0
 
 
 def test_names_the_benchmark_looks_up_exist():

@@ -697,6 +697,49 @@ class TestTwoSection:
         assert held <= 25 * len(graph.pair_u) + 8 * hg.n + 65536
 
 
+class TestPairsBuiltWhenFirstRead:
+    def test_two_section_does_no_pair_work(self):
+        hg = generate(default_params(2**15, seed=1)).hypergraph
+        keys = 0
+        for _, rows in hg.size_classes():
+            distinct = 1 + (rows[1:] != rows[:-1]).sum(axis=0)
+            keys += int((distinct * (distinct - 1) // 2).sum())
+        two_section(hg).pair_u   # numpy's one-time caches
+        built = []
+        pair_keys = metrics._pair_keys
+        with mock.patch.object(metrics, "_pair_keys", lambda hg: built.append(1) or pair_keys(hg)):
+            tracemalloc.start()
+            try:
+                graph = two_section(hg)
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                assert built == []
+                graph.heavy   # the first read builds all six fields, with the same peak per key
+                _, first_read = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 65536
+            assert first_read <= 48 * keys + 65536, first_read / keys
+            for name in ("pair_u", "pair_v", "weight", "degree", "total_weight", "heavy"):
+                getattr(graph, name)
+            assert built == [1]
+        assert len(graph.pair_u) == len(two_section(hg).pair_u) and graph.total_weight == keys
+
+    def test_pairs_come_from_the_arrays_it_was_built_from(self):
+        res = generate(default_params(500, seed=3, simple=False))
+        hg, labels = res.hypergraph, res.assignment.member_of
+        fresh = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
+        graph = two_section(hg)
+        hg.members = np.random.default_rng(3).permutation(hg.members)
+        hg.sort_members()
+        assert not np.array_equal(hg.members, fresh.members)
+        want = two_section(fresh)
+        for name in ("pair_u", "pair_v", "weight", "degree", "total_weight", "heavy"):
+            assert np.array_equal(getattr(graph, name), getattr(want, name)), name
+        with pytest.raises(ValueError, match="no longer holds the edges"):
+            graph_modularity(graph, labels)
+
+
 class TestGraphModularity:
     def test_two_disjoint_triangles(self):
         hg = hg_from(6, [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]])
