@@ -39,7 +39,7 @@ from .errors import (
 )
 from .generation import generate
 from .metrics import ccdf_report, census
-from .structures import collector_paused, member_lists, size_runs
+from .structures import EdgeLists, size_runs
 
 # The report reads every modularity and histogram line from one census.  These
 # metrics stay importable from here, where bench/worker.py traces them.
@@ -390,41 +390,39 @@ def _scan(path: str, bad: str, noun: str, width: int | None = None):
     return header, blocks(fault)
 
 
-def read_edges_file(path: str) -> list[list[int]]:
-    """Parse an edges file back into 0-based member lists, in file order.
+def read_edges_file(path: str) -> EdgeLists:
+    """Parse an edges file back into 0-based member lists, in file order, as
+    an ``EdgeLists`` of the blocks ``_scan`` reads: no list is built here.
 
     Every line that is not blank once '#' comments are removed is one edge:
     node ids in 1..n, with n from the header's ``nodes=`` (else the largest
     id).  When the header gives ``edges=``, the file must have that many
-    edge lines.  The lists are built block by block as ``_scan`` reads the
-    file, under one collector pause.  A fault raises a ValueError naming
-    ``path:line``: the first of the highest rank, where ``_scan``'s faults
-    rank above an id outside 1..n, and that above a wrong ``edges=``.
+    edge lines.  A fault raises a ValueError naming ``path:line``: the first
+    of the highest rank, where ``_scan``'s faults rank above an id outside
+    1..n, and that above a wrong ``edges=``.
     """
     header, blocks = _scan(path, "expected node ids", "node id")
     n = header["nodes"][0] if "nodes" in header else None
-    lists, edges, top, outside = [], 0, 0, None
-    with collector_paused():
-        for ids, bounds, lines in blocks:
-            edges += len(lines)
-            if n is None:
-                top = max(top, int(ids.max(initial=0)))
-            if outside:
-                continue
-            bad = np.flatnonzero((ids < 1) if n is None else (ids < 1) | (ids > n))
-            if len(bad):
-                k = bad[0]
-                outside = int(lines[np.searchsorted(bounds, k, "right") - 1]), int(ids[k])
-                lists = []   # no lists are built after a fault
-                continue
-            ids -= 1
-            lists += member_lists(ids, bounds)
+    kept, edges, top, outside = [], 0, 0, None
+    for ids, bounds, lines in blocks:
+        edges += len(lines)
+        if n is None:
+            top = max(top, int(ids.max(initial=0)))
+        if outside:
+            continue
+        bad = np.flatnonzero((ids < 1) if n is None else (ids < 1) | (ids > n))
+        if len(bad):
+            k = bad[0]
+            outside = int(lines[np.searchsorted(bounds, k, "right") - 1]), int(ids[k])
+            continue
+        ids -= 1   # kept as int32 when every id of the block fits
+        kept.append((ids.astype(np.int32) if ids.max(initial=0) < 2**31 else ids, bounds.astype(np.int32)))
     if outside:
         _fail(path, outside[0], f"node id {outside[1]} is outside 1..{top if n is None else n}")
     if "edges" in header and header["edges"][0] != edges:
         count, lineno = header["edges"]
         _fail(path, lineno, f"header says edges={count}, but the file has {edges} edge lines")
-    return lists
+    return EdgeLists(kept)
 
 
 def read_assignment_file(path: str) -> np.ndarray:

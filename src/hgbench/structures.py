@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import gc
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +66,41 @@ def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     for run in size_runs(members, offsets):
         lists += run.tolist()
     return lists
+
+
+class EdgeLists(Sequence):
+    """Read-only 0-based member lists, kept as the reader's ``(ids, bounds)``
+    blocks: list j of a block is ``ids[bounds[j]:bounds[j+1]]``, where bounds
+    are int32 and ids int32 (int64 if one does not fit).  A list is built only
+    when read; a slice gives a plain list.  Equal to a sequence of the same lists."""
+
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]]):
+        self.blocks = blocks
+        self._starts = np.cumsum([0] + [len(bounds) - 1 for _, bounds in blocks])
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]   # counts a negative i from the end; IndexError past either end
+        b = int(np.searchsorted(self._starts, i, "right")) - 1
+        (ids, bounds), j = self.blocks[b], i - int(self._starts[b])
+        return ids[bounds[j]: bounds[j + 1]].tolist()
+
+    def __iter__(self) -> Iterator[list[int]]:
+        for ids, bounds in self.blocks:
+            with collector_paused():
+                lists = member_lists(ids, bounds)
+            yield from lists
+
+    def tolist(self) -> list[list[int]]:
+        with collector_paused():   # over the whole list, not per block as in iteration
+            return list(self)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
@@ -169,10 +204,17 @@ class Hypergraph:
 
     @classmethod
     def from_edge_lists(cls, n: int, edges) -> "Hypergraph":
-        """Background edges from member-id lists in any order; stored sorted."""
-        sizes = np.fromiter(map(len, edges), dtype=np.int32, count=len(edges))
-        members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,
-                              count=int(sizes.sum()))
+        """Background edges from member-id lists (an EdgeLists stays as it was) in any order; stored sorted."""
+        if isinstance(edges, EdgeLists):
+            blocks = [(np.empty(0, np.int32),) * 2] + edges.blocks
+            sizes = np.concatenate([np.diff(bounds) for _, bounds in blocks])
+            members = np.concatenate([ids for ids, _ in blocks])   # a copy, which from_sizes sorts
+            if members.dtype != np.int32:   # the first id past int32 raises fromiter's OverflowError
+                np.fromiter(members[members != members.astype(np.int32)][:1].tolist(), np.int32)
+        else:
+            sizes = np.fromiter(map(len, edges), dtype=np.int32, count=len(edges))
+            members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,
+                                  count=int(sizes.sum()))
         return cls.from_sizes(n, sizes, members, np.full(len(edges), ORIGIN_BACKGROUND, dtype=np.int32))
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hgbench import cli, rewiring
+from hgbench import cli, rewiring, structures
 from hgbench.cli import (
     build_params,
     build_parser,
@@ -32,7 +32,7 @@ from hgbench.cli import (
 )
 from hgbench.config import build_weight_matrix, default_params
 from hgbench.generation import generate
-from hgbench.structures import CommunityAssignment, DegreeProfiles, GenerationResult, Hypergraph
+from hgbench.structures import CommunityAssignment, DegreeProfiles, EdgeLists, GenerationResult, Hypergraph
 
 
 def run_cli(*argv):
@@ -744,6 +744,106 @@ def test_reader_runs_no_collection(tmp_path):
         if not was:
             gc.disable()
     assert during == 0
+
+
+def built(n, edges):
+    """The arrays from_edge_lists builds, or its OverflowError's message."""
+    try:
+        hg = Hypergraph.from_edge_lists(n, edges)
+    except OverflowError as exc:
+        return str(exc)
+    return [(a.dtype, a.tobytes()) for a in (hg.offsets, hg.members, hg.origins)]
+
+
+def check_edge_lists(edges):
+    """An EdgeLists builds the hypergraph its lists build, and reads as they do."""
+    assert isinstance(edges, EdgeLists)
+    lists = edges.tolist()
+    assert type(lists) is list and all(type(edge) is list for edge in lists)
+    assert built(1 << 20, edges) == built(1 << 20, lists)
+    assert edges.tolist() == lists   # from_edge_lists sorts its own copy
+    assert len(edges) == len(lists)
+    assert [edges[i] for i in range(-len(lists), len(lists))] == lists + lists
+    for i in (len(lists), -len(lists) - 1):
+        with pytest.raises(IndexError):
+            edges[i]
+    for cut in (slice(None), slice(1, None), slice(-2, None), slice(None, None, -1), slice(1, -1, 2)):
+        assert edges[cut] == lists[cut] and type(edges[cut]) is list
+    assert list(edges) == lists
+    assert edges == lists and lists == edges
+    assert edges == tuple(lists) and not edges != lists
+    if lists:
+        assert edges != lists[:-1] and lists[:-1] != edges
+        assert edges != lists[:-1] + [lists[-1] + [0]]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.lists(st.sampled_from(FRAGMENTS), max_size=24).map(b"".join))
+def test_edge_lists_read_and_build_as_their_lists(tmp_path, data):
+    path = tmp_path / "fuzz.data"
+    path.write_bytes(data)
+    for block in (1, 2, 7, 64, cli._BLOCK):
+        with mock.patch.object(cli, "_BLOCK", block):
+            try:
+                edges = read_edges_file(str(path))
+            except ValueError:
+                continue
+        check_edge_lists(edges)
+
+
+@pytest.mark.parametrize("block", [1 << 14, cli._BLOCK])
+def test_generated_edge_lists_read_and_build_as_their_lists(tmp_path, block):
+    path = str(tmp_path / "x.edges")
+    hg = generate(default_params(2**15, seed=1)).hypergraph
+    write_edges_file(path, hg, 1)
+    with mock.patch.object(cli, "_BLOCK", block):
+        edges = read_edges_file(path)
+    assert len(edges.blocks) > (1 if block < cli._BLOCK else 0)
+    check_edge_lists(edges)
+    assert np.array_equal(Hypergraph.from_edge_lists(hg.n, edges).members, hg.members)
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_id_past_int32_is_read_and_refused_by_from_edge_lists(tmp_path):
+    # the reader keeps such a block as int64; from_edge_lists refuses it as
+    # it refuses the same id in a plain list, never wrapped into int32
+    path = tmp_path / "wide.edges"
+    path.write_bytes(b"1 2\n3000000000\n")
+    edges = read_edges_file(str(path))
+    assert edges == [[0, 1], [2999999999]]
+    for plain in (edges, edges.tolist()):
+        with pytest.raises(OverflowError, match=r"^Python integer 2999999999 out of bounds for int32$"):
+            Hypergraph.from_edge_lists(3000000000, plain)
+
+
+def test_edge_lists_hold_four_bytes_per_slot_and_edge(tmp_path, monkeypatch):
+    # numpy reports its buffers to tracemalloc: the read keeps each block's
+    # ids and line bounds as int32, and from_edge_lists needs little more
+    # than the arrays it returns; neither builds a Python list
+    path = str(tmp_path / "x.edges")
+    hg = generate(default_params(2**15, seed=1)).hypergraph
+    write_edges_file(path, hg, 1)
+    read_edges_file(path)   # numpy's one-time caches
+    Hypergraph.from_edge_lists(hg.n, read_edges_file(path))
+
+    def refused(*args):
+        raise AssertionError("a Python list was built")
+
+    monkeypatch.setattr(structures, "member_lists", refused)
+    tracemalloc.start()
+    try:
+        edges = read_edges_file(path)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        rebuilt = Hypergraph.from_edge_lists(hg.n, edges)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 4 * hg.volume + 4 * hg.edge_count + (64 << 10), held / hg.volume
+    assert peak - returned <= 4 * hg.volume + (64 << 10), (peak - returned) / hg.volume
+    assert returned - start <= 12 * hg.edge_count + 4 * hg.volume + (64 << 10)   # the hypergraph's arrays
+    assert np.array_equal(rebuilt.members, hg.members) and np.array_equal(rebuilt.offsets, hg.offsets)
 
 
 def test_names_the_benchmark_looks_up_exist():
