@@ -346,7 +346,7 @@ def _scan(path: str, bad: str, noun: str, width: int | None = None):
     def blocks(fault):
         line = 1   # the number of the next block's first line
         for text in itertools.chain(head, texts):
-            first, line = line, line + text.count(b"\n")
+            first = line
             if not text.isascii():
                 try:
                     text.decode()
@@ -354,10 +354,12 @@ def _scan(path: str, bad: str, noun: str, width: int | None = None):
                     _fail(path, first + text.count(b"\n", 0, exc.start),
                           f"byte {text[exc.start]:#x} is not UTF-8")
             if fault and fault[0] <= _BAD_BYTE:
+                line += text.count(b"\n")
                 continue
             text = re.sub(rb"#[^\n]*", b"", text)   # comments go, line breaks stay
             buf = np.frombuffer(text, dtype=np.uint8)
             breaks = np.flatnonzero(buf == ord("\n"))
+            line += len(breaks)
             digit = _in_range(buf, ord("0"), 10)
             ok = digit | _in_range(buf, ord("\t"), 5) | (buf == ord(" "))   # whitespace: \t-\r and space
             if not ok.all():

@@ -9,7 +9,7 @@ are a label per node, normalized internally, so any labeling scheme works.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,31 +36,20 @@ def _normalize_partition(arr: np.ndarray, n: int):
     return parts.astype(np.int32), len(uniq)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoSection:
-    """Weighted multigraph obtained by replacing each edge with a clique.
-
-    The pairs u < v are distinct and sorted by (u, v); parallel pairs from
-    different hyperedges add up their weight.  Repeated slots within one
-    hyperedge collapse first, so it gives each unordered pair at most once.
-    It keeps the hypergraph it was built from, whose census scores it; the
-    first read of a pair field builds all six from the ``built_from`` arrays.
-    """
+    """Weighted multigraph obtained by replacing each edge with a clique: a
+    view of the hypergraph, whose census scores it.  It keeps no pairs;
+    ``pairs()`` builds them from the hypergraph's current arrays."""
 
     n: int
-    pair_u: np.ndarray = field(init=False)
-    pair_v: np.ndarray = field(init=False)
-    weight: np.ndarray = field(init=False)
-    degree: np.ndarray = field(init=False)   # weighted degree per node, float64 even with no pair
-    total_weight: int = field(init=False)
-    heavy: np.ndarray = field(init=False)    # int64 indices of the pairs with weight above 1
     hypergraph: Hypergraph = field(repr=False, compare=False)
-    built_from: tuple = field(repr=False, compare=False)   # the hypergraph's (offsets, members)
 
-    def __getattr__(self, name):   # runs for a field not yet set
-        if name not in ("pair_u", "pair_v", "weight", "degree", "total_weight", "heavy"):
-            raise AttributeError(name)
-        key = _pair_keys(replace(self.hypergraph, offsets=self.built_from[0], members=self.built_from[1]))
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pair_u, pair_v, weight)``, int64: the distinct pairs u < v sorted
+        by (u, v), and the number of edges that hold each.  Repeated slots
+        within one edge collapse first, so it gives each pair at most once."""
+        key = _pair_keys(self.hypergraph)
         key.sort()   # a pair's weight is the length of its run of equal keys
         new = np.empty(len(key), dtype=bool)   # True where a distinct pair starts
         new[:1] = True
@@ -74,11 +63,11 @@ class TwoSection:
         del key, starts
         pair_u = pair_v >> 32
         pair_v &= 0xFFFFFFFF
-        degree = np.add(np.bincount(pair_u, weights=weight, minlength=self.n),
-                        np.bincount(pair_v, weights=weight, minlength=self.n), dtype=np.float64)
-        vars(self).update(pair_u=pair_u, pair_v=pair_v, weight=weight, degree=degree,
-                          total_weight=int(weight.sum()), heavy=np.flatnonzero(weight > 1))
-        return vars(self)[name]
+        return pair_u, pair_v, weight
+
+    @property
+    def pair_u(self) -> np.ndarray:   # bench/tracer.py counts the pairs by its length
+        return self.pairs()[0]
 
 
 def _pair_keys(hg: Hypergraph) -> np.ndarray:
@@ -103,20 +92,16 @@ def _pair_keys(hg: Hypergraph) -> np.ndarray:
 
 
 def two_section(hg: Hypergraph) -> TwoSection:
-    """Clique expansion of the hypergraph, whose pairs are built when first
-    read.  Like ``census``, it makes ``offsets`` and ``members`` read-only."""
+    """Clique expansion of the hypergraph, which does no pair work.  Like
+    ``census``, it makes ``offsets`` and ``members`` read-only."""
     hg.offsets.flags.writeable = hg.members.flags.writeable = False
-    return TwoSection(hg.n, hg, (hg.offsets, hg.members))
+    return TwoSection(hg.n, hg)
 
 
 def graph_modularity(graph: TwoSection, partition) -> float:
     """Within-part edge fraction minus the squared volume fractions, as
-    ``census(graph.hypergraph, partition).pairwise_modularity()``; refused once
-    that hypergraph no longer holds the ``offsets`` and ``members`` of the graph."""
-    hg = graph.hypergraph
-    if graph.built_from[0] is not hg.offsets or graph.built_from[1] is not hg.members:
-        raise ValueError("the hypergraph no longer holds the edges this two-section was built from")
-    return census(hg, partition).pairwise_modularity()
+    ``census(graph.hypergraph, partition).pairwise_modularity()``."""
+    return census(graph.hypergraph, partition).pairwise_modularity()
 
 
 @dataclass

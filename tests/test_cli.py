@@ -32,6 +32,7 @@ from hgbench.cli import (
 )
 from hgbench.config import build_weight_matrix, default_params
 from hgbench.generation import generate
+from hgbench.metrics import two_section
 from hgbench.structures import CommunityAssignment, DegreeProfiles, EdgeLists, GenerationResult, Hypergraph
 
 
@@ -861,6 +862,15 @@ def test_names_the_benchmark_looks_up_exist():
     for owner, name in looked_up:
         # the tracer patches the owner's own attribute, not an inherited one
         assert name in vars(owner) and callable(getattr(owner, name)), name
+
+
+def test_pair_count_the_tracer_reads_is_the_pair_count():
+    """bench/tracer.py reports ``len(result.pair_u)`` of every traced
+    ``two_section`` call as ``metrics.two_section_pairs``.  ``pair_u`` is kept
+    for that read alone, so it must give as many pairs as ``pairs()`` does."""
+    hg = Hypergraph.from_edge_lists(5, [[0, 1, 2], [0, 1], [3, 3, 4], [2]])
+    graph = two_section(hg)
+    assert len(graph.pair_u) == len(graph.pairs()[0]) == 4
 
 
 class TestReplicates:

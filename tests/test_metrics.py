@@ -37,6 +37,14 @@ def hg_from(n, edges):
     return Hypergraph.from_edge_lists(n, edges)
 
 
+def pair_degrees(graph):
+    """The weighted two-section degree of every node, summed from ``graph.pairs()``
+    (float64 also with no pair, where np.bincount gives int64)."""
+    u, v, w = graph.pairs()
+    return np.add(np.bincount(u, weights=w, minlength=graph.n),
+                  np.bincount(v, weights=w, minlength=graph.n), dtype=np.float64)
+
+
 def sorted_label_runs(hg, labels):
     """Reference path: per edge size d, the run lengths of equal labels in each
     edge's sorted label row, and the longest run of every edge."""
@@ -126,7 +134,7 @@ class TestCensusEquivalence:
         hg, labels = case
         graph = two_section(hg)
         cen = census(hg, labels)
-        if graph.total_weight == 0:
+        if graph.pairs()[2].sum() == 0:
             with pytest.raises(UndefinedInputError):
                 cen.pairwise_modularity()
         else:
@@ -169,8 +177,9 @@ class TestCensusEquivalence:
         assert got.pairwise_modularity() == want.pairwise_modularity()
         assert_scores_like_a_fresh_copy(hg, labels)
         got, want = two_section(hg), two_section(fresh)
-        for name in ("pair_u", "pair_v", "weight", "degree"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for g, w in zip(got.pairs(), want.pairs()):
+            assert np.array_equal(g, w)
+        assert np.array_equal(pair_degrees(got), pair_degrees(want))
 
 
 def assert_scores_like_a_fresh_copy(hg, labels):
@@ -381,8 +390,8 @@ class TestCensusMemo:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("change", ["members replaced", "offsets replaced"])
-    def test_graph_of_replaced_edges_is_refused(self, case, change):
-        # a graph scores through its hypergraph, so that must still hold the edges it was built from
+    def test_graph_of_replaced_edges_scores_the_new_edges(self, case, change):
+        # a graph is a view of its hypergraph: it keeps nothing that a replaced array leaves stale
         hg, labels = case
         graph = two_section(hg)
         before = hg.members.copy()
@@ -395,11 +404,12 @@ class TestCensusMemo:
             hg.sort_members()
         else:
             hg.offsets = hg.offsets.copy()   # the same edges in a new array
-        with pytest.raises(ValueError, match="no longer holds the edges"):
-            graph_modularity(graph, labels)
-        graph = two_section(hg)
+        fresh = two_section(Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy()))
+        assert graph_modularity(graph, labels) == graph_modularity(fresh, labels)
         assert graph_modularity(graph, labels) == TestHeavyPairs.reference(graph, labels)
         assert (graph_modularity(graph, labels) == want) == (change == "offsets replaced")
+        for got, expected in zip(graph.pairs(), fresh.pairs()):
+            assert np.array_equal(got, expected)
 
     def test_scored_hypergraph_is_freed_without_the_collector(self):
         hg = generate(default_params(2000, seed=5, simple=False)).hypergraph
@@ -481,7 +491,7 @@ class TestNarrowLabels:
         graph = two_section(hg)
         graph_modularity(graph, first)   # numpy's one-time caches
         peak = self.traced_peak(lambda: graph_modularity(graph, second))
-        assert peak <= 4 * len(graph.pair_u) + 16 * hg.n + 65536
+        assert peak <= 4 * len(graph.pairs()[0]) + 16 * hg.n + 65536
 
     def test_fresh_partition_census_peak_per_slot(self, one_size):
         # one byte per slot for the gathered labels and one for the match
@@ -511,15 +521,18 @@ class TestHeavyPairs:
     @staticmethod
     def reference(graph, labels):
         uniq, parts = np.unique(labels, return_inverse=True)
-        same = parts[graph.pair_u] == parts[graph.pair_v]
-        internal = int((graph.weight * same).sum()) / graph.total_weight
-        vol_part = np.bincount(parts, weights=graph.degree, minlength=len(uniq))
-        return float(internal - ((vol_part / graph.degree.sum()) ** 2).sum())
+        u, v, weight = graph.pairs()
+        degree = pair_degrees(graph)
+        internal = int((weight * (parts[u] == parts[v])).sum()) / weight.sum()
+        vol_part = np.bincount(parts, weights=degree, minlength=len(uniq))
+        return float(internal - ((vol_part / degree.sum()) ** 2).sum())
 
     def test_heavy_indexes_the_pairs_above_weight_one(self, graph):
-        assert graph.heavy.dtype == np.int64
-        assert np.array_equal(graph.heavy, np.flatnonzero(graph.weight > 1))
-        assert {2, 300, 70_000} <= set(graph.weight[graph.heavy].tolist())
+        u, v, weight = graph.pairs()
+        heavy = np.flatnonzero(weight > 1)
+        found = dict(zip(zip(u[heavy].tolist(), v[heavy].tolist()), weight[heavy].tolist()))
+        assert {2, 300, 70_000} <= set(found.values())
+        assert found[1, 301] == 300 and found[2, 70_002] == 70_000
 
     @pytest.mark.parametrize("k", [200, 300, 70_000])
     def test_matches_the_full_weight_sum(self, graph, k):
@@ -530,16 +543,17 @@ class TestHeavyPairs:
 
     @pytest.mark.parametrize("edges", [[], [[0, 1]], [[0, 1, 2], [1, 3]], [[0, 0, 1], [1, 1]]])
     def test_no_heavy_pair_when_no_pair_repeats(self, edges):
-        graph = two_section(hg_from(4, edges))
-        assert graph.heavy.dtype == np.int64 and len(graph.heavy) == 0
+        weight = two_section(hg_from(4, edges)).pairs()[2]
+        assert weight.dtype == np.int64 and len(np.flatnonzero(weight > 1)) == 0
 
     def test_pairs_keep_their_order_values_and_dtypes(self, graph):
         # the (u << 32) | v key sorts as u * n + v did
-        key = graph.pair_u * graph.n + graph.pair_v
+        u, v, weight = graph.pairs()
+        key = u * graph.n + v
         assert np.all(np.diff(key) > 0)
-        assert np.all(graph.pair_u < graph.pair_v) and graph.pair_v.max() < graph.n
-        for name in ("pair_u", "pair_v", "weight"):
-            assert getattr(graph, name).dtype == np.int64
+        assert np.all(u < v) and v.max() < graph.n
+        for arr in (u, v, weight):
+            assert arr.dtype == np.int64
 
 
 @st.composite
@@ -577,7 +591,7 @@ class TestGraphModularityThroughCensus:
                                lambda *args: counted.append(1) or count(*args)):
             # the second partition has other labels, so it is counted anew
             for calls, partition in enumerate((labels, plain - 1), start=1):
-                if graph.total_weight:
+                if graph.pairs()[2].sum():
                     want = TestHeavyPairs.reference(graph, getattr(partition, "member_of", partition))
                     assert graph_modularity(graph, partition) == want
                 else:
@@ -641,41 +655,40 @@ def test_normalize_partition_dense_path_equals_unique(monkeypatch, labels, dense
 
 class TestTwoSection:
     def test_triangle_expands_to_three_pairs(self):
-        ts = two_section(hg_from(4, [[1, 2, 3]]))
-        pairs = set(zip(ts.pair_u.tolist(), ts.pair_v.tolist()))
-        assert pairs == {(1, 2), (1, 3), (2, 3)}
-        assert (ts.weight == 1).all()
-        assert ts.total_weight == 3
+        u, v, w = two_section(hg_from(4, [[1, 2, 3]])).pairs()
+        assert set(zip(u.tolist(), v.tolist())) == {(1, 2), (1, 3), (2, 3)}
+        assert (w == 1).all()
+        assert w.sum() == 3
 
     def test_parallel_edges_accumulate_weight(self):
-        ts = two_section(hg_from(3, [[1, 2], [1, 2]]))
-        assert ts.pair_u.tolist() == [1]
-        assert ts.pair_v.tolist() == [2]
-        assert ts.weight.tolist() == [2]
+        u, v, w = two_section(hg_from(3, [[1, 2], [1, 2]])).pairs()
+        assert u.tolist() == [1]
+        assert v.tolist() == [2]
+        assert w.tolist() == [2]
 
     def test_repeated_slots_collapse_within_one_edge(self):
-        ts = two_section(hg_from(4, [[1, 1, 2], [3, 3, 3]]))
-        assert ts.total_weight == 1
-        assert (ts.pair_u[0], ts.pair_v[0]) == (1, 2)
+        u, v, w = two_section(hg_from(4, [[1, 1, 2], [3, 3, 3]])).pairs()
+        assert w.sum() == 1
+        assert (u[0], v[0]) == (1, 2)
 
     def test_singletons_contribute_nothing(self):
-        ts = two_section(hg_from(3, [[0], [1], [2]]))
-        assert ts.total_weight == 0
+        assert two_section(hg_from(3, [[0], [1], [2]])).pairs()[2].sum() == 0
 
     def test_empty(self):
         ts = two_section(hg_from(3, []))
-        assert ts.total_weight == 0
-        assert (ts.degree == 0).all()
+        assert ts.pairs()[2].sum() == 0
+        assert (pair_degrees(ts) == 0).all()
 
     @pytest.mark.parametrize("edges", [[], [[0]], [[0, 0]], [[0, 1]]])
     def test_degrees_are_float64_with_or_without_pairs(self, edges):
         ts = two_section(hg_from(3, edges))
-        assert ts.degree.dtype == np.float64
-        assert ts.degree.tolist() == ([1, 1, 0] if edges == [[0, 1]] else [0, 0, 0])
+        assert all(arr.dtype == np.int64 for arr in ts.pairs())
+        assert pair_degrees(ts).dtype == np.float64
+        assert pair_degrees(ts).tolist() == ([1, 1, 0] if edges == [[0, 1]] else [0, 0, 0])
 
     def test_degrees_are_weighted(self):
         ts = two_section(hg_from(4, [[0, 1], [0, 1], [0, 2]]))
-        assert ts.degree.tolist() == [3, 2, 1, 0]
+        assert pair_degrees(ts).tolist() == [3, 2, 1, 0]
 
     def test_peak_per_pair_key(self):
         # numpy reports its buffers to tracemalloc.  A key is one member pair
@@ -686,25 +699,26 @@ class TestTwoSection:
         for _, rows in hg.size_classes():
             distinct = 1 + (rows[1:] != rows[:-1]).sum(axis=0)
             keys += int((distinct * (distinct - 1) // 2).sum())
-        two_section(hg)   # numpy's one-time caches
+        graph = two_section(hg)
+        graph.pairs()   # numpy's one-time caches
         tracemalloc.start()
         try:
-            graph = two_section(hg)
+            pairs = graph.pairs()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 48 * keys + 65536, peak / keys
-        assert held <= 25 * len(graph.pair_u) + 8 * hg.n + 65536
+        assert held <= 25 * len(pairs[0]) + 8 * hg.n + 65536
 
 
-class TestPairsBuiltWhenFirstRead:
+class TestPairsBuiltPerCall:
     def test_two_section_does_no_pair_work(self):
         hg = generate(default_params(2**15, seed=1)).hypergraph
         keys = 0
         for _, rows in hg.size_classes():
             distinct = 1 + (rows[1:] != rows[:-1]).sum(axis=0)
             keys += int((distinct * (distinct - 1) // 2).sum())
-        two_section(hg).pair_u   # numpy's one-time caches
+        two_section(hg).pairs()   # numpy's one-time caches
         built = []
         pair_keys = metrics._pair_keys
         with mock.patch.object(metrics, "_pair_keys", lambda hg: built.append(1) or pair_keys(hg)):
@@ -714,30 +728,21 @@ class TestPairsBuiltWhenFirstRead:
                 _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
                 assert built == []
-                graph.heavy   # the first read builds all six fields, with the same peak per key
+                weight = graph.pairs()[2]   # each call builds the pairs, with the same peak per key
                 _, first_read = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 65536
             assert first_read <= 48 * keys + 65536, first_read / keys
-            for name in ("pair_u", "pair_v", "weight", "degree", "total_weight", "heavy"):
-                getattr(graph, name)
-            assert built == [1]
-        assert len(graph.pair_u) == len(two_section(hg).pair_u) and graph.total_weight == keys
+            graph.pairs()
+            assert built == [1, 1]
+        assert weight.sum() == keys
 
-    def test_pairs_come_from_the_arrays_it_was_built_from(self):
-        res = generate(default_params(500, seed=3, simple=False))
-        hg, labels = res.hypergraph, res.assignment.member_of
-        fresh = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
-        graph = two_section(hg)
-        hg.members = np.random.default_rng(3).permutation(hg.members)
-        hg.sort_members()
-        assert not np.array_equal(hg.members, fresh.members)
-        want = two_section(fresh)
-        for name in ("pair_u", "pair_v", "weight", "degree", "total_weight", "heavy"):
-            assert np.array_equal(getattr(graph, name), getattr(want, name)), name
-        with pytest.raises(ValueError, match="no longer holds the edges"):
-            graph_modularity(graph, labels)
+    def test_each_call_builds_new_arrays(self):
+        graph = two_section(generate(default_params(500, seed=3, simple=False)).hypergraph)
+        first, second = graph.pairs(), graph.pairs()
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b) and a is not b and not np.shares_memory(a, b)
 
 
 class TestGraphModularity:
