@@ -411,6 +411,26 @@ class TestCensusMemo:
         for got, expected in zip(graph.pairs(), fresh.pairs()):
             assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("change", ["members replaced", "offsets replaced"])
+    def test_graph_of_replaced_edges_is_refused(self, case, change):
+        # the graph keeps no edges, so what is refused is an in-place write to the
+        # replaced ones once the graph scores them, and the score stays
+        hg, labels = case
+        graph = two_section(hg)
+        if change == "members replaced":
+            hg.members = np.random.default_rng(6).permutation(hg.members)
+            hg.sort_members()
+            arr = hg.members
+        else:
+            hg.offsets = arr = hg.offsets.copy()   # the same edges in a new array
+        assert arr.flags.writeable
+        score = graph_modularity(graph, labels)
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = np.random.default_rng(7).permutation(arr)
+        assert np.array_equal(arr, before)
+        assert graph_modularity(graph, labels) == score
+
     def test_scored_hypergraph_is_freed_without_the_collector(self):
         hg = generate(default_params(2000, seed=5, simple=False)).hypergraph
         labels = np.random.default_rng(5).integers(0, 40, size=hg.n)
@@ -711,7 +731,7 @@ class TestTwoSection:
         assert held <= 25 * len(pairs[0]) + 8 * hg.n + 65536
 
 
-class TestPairsBuiltPerCall:
+class TestPairsBuiltWhenFirstRead:
     def test_two_section_does_no_pair_work(self):
         hg = generate(default_params(2**15, seed=1)).hypergraph
         keys = 0
@@ -737,6 +757,21 @@ class TestPairsBuiltPerCall:
             graph.pairs()
             assert built == [1, 1]
         assert weight.sum() == keys
+
+    def test_pairs_come_from_the_arrays_it_was_built_from(self):
+        # two_section makes the arrays read-only, so no in-place write moves its pairs
+        res = generate(default_params(500, seed=3, simple=False))
+        hg, labels = res.hypergraph, res.assignment.member_of
+        fresh = Hypergraph.from_sizes(hg.n, hg.sizes(), hg.members.copy(), hg.origins.copy())
+        graph = two_section(hg)
+        for arr in (hg.offsets, hg.members):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = np.random.default_rng(3).permutation(arr)
+        assert np.array_equal(hg.offsets, fresh.offsets) and np.array_equal(hg.members, fresh.members)
+        want = two_section(fresh)
+        for got, expected in zip(graph.pairs(), want.pairs()):
+            assert np.array_equal(got, expected)
+        assert graph_modularity(graph, labels) == graph_modularity(want, labels)
 
     def test_each_call_builds_new_arrays(self):
         graph = two_section(generate(default_params(500, seed=3, simple=False)).hypergraph)
