@@ -36,14 +36,14 @@ def _normalize_partition(arr: np.ndarray, n: int):
     return parts.astype(np.int32), len(uniq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSection:
     """Weighted multigraph obtained by replacing each edge with a clique: a
     view of the hypergraph, whose census scores it.  It keeps no pairs;
-    ``pairs()`` builds them from the hypergraph's current arrays."""
+    ``pairs()`` builds them from the hypergraph's current arrays.  It equals only itself."""
 
     n: int
-    hypergraph: Hypergraph = field(repr=False, compare=False)
+    hypergraph: Hypergraph = field(repr=False)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(pair_u, pair_v, weight)``, int64: the distinct pairs u < v sorted
@@ -265,10 +265,7 @@ def _count_compositions(n: int, classes: list, degree: np.ndarray, partition) ->
         counts[d, 0] = len(hits) - counts[d].sum()
         # a repeated slot gets a label no part has, so it pairs with nothing
         labels[:, repeated] = np.where(dup, k + np.arange(d)[:, None], labels[:, repeated])
-        if d > 3 or len(repeated):
-            same += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
-        else:   # two slots of one part are the majority of an edge of 2 or 3 slots
-            same += sum(c * (c - 1) // 2 * int(counts[d, c]) for c in range(2, d + 1))
+        same += sum(int(np.count_nonzero(labels[i + 1:] == labels[i])) for i in range(d - 1))
     volume = np.bincount(parts, weights=degree, minlength=k).astype(np.int64)
     parts.flags.writeable = volume.flags.writeable = counts.flags.writeable = False
     return parts, volume, counts, same

@@ -44,28 +44,22 @@ def size_runs(members: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
             e0, s0 = e1, s1
 
 
-class collector_paused:
-    """Pause the collector, and restore it on an exit that allocates nothing."""
-
-    def __enter__(self):
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc):
-        if self.enabled:
-            gc.enable()
-
-
 def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     """``members[offsets[i]:offsets[i+1]]`` as a list of Python ints, per edge i.
 
-    Each run of equal-size edges comes out of one 2-D ``tolist``.  Build them
-    under ``collector_paused``, which makes building them several times faster.
+    Each run of equal-size edges comes out of one 2-D ``tolist``, with the
+    collector paused, which makes building them several times faster.
     """
-    lists: list[list[int]] = []
-    for run in size_runs(members, offsets):
-        lists += run.tolist()
-    return lists
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lists: list[list[int]] = []
+        for run in size_runs(members, offsets):
+            lists += run.tolist()
+        return lists
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class EdgeLists(Sequence):
@@ -91,13 +85,7 @@ class EdgeLists(Sequence):
 
     def __iter__(self) -> Iterator[list[int]]:
         for ids, bounds in self.blocks:
-            with collector_paused():
-                lists = member_lists(ids, bounds)
-            yield from lists
-
-    def tolist(self) -> list[list[int]]:
-        with collector_paused():   # over the whole list, not per block as in iteration
-            return list(self)
+            yield from member_lists(ids, bounds)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and len(self) == len(other) and all(a == b for a, b in zip(self, other))
@@ -141,8 +129,7 @@ class Hypergraph:
         return counts
 
     def edge_lists(self) -> list[list[int]]:
-        with collector_paused():
-            return member_lists(self.members, self.offsets)
+        return member_lists(self.members, self.offsets)
 
     def size_classes(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (d, rows) for every nonempty edge size d present, ascending:

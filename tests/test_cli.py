@@ -134,6 +134,14 @@ class TestConfigFile:
         assert run_cli("--config", str(cfg), "--n", "300", "--out", str(out)) == 0
         assert "nodes=300" in read(f"{out}.edges")
 
+    @pytest.mark.parametrize("value,mode", [("yes", "simple"), ("no", "multi")])
+    def test_boolean_words_set_the_mode(self, tmp_path, value, mode):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 1000\nsimple = {value}\n")
+        out = tmp_path / "o"
+        assert run_cli("--config", str(cfg), "--out", str(out)) == 0
+        assert f"\nmode {mode}\n" in read(f"{out}.report.txt")
+
     def test_missing_config_file(self):
         assert run_cli("--config", "/nonexistent/path.cfg") == 1
 
@@ -226,6 +234,10 @@ class TestBadInput:
         "binary.cfg": b"n = 1000\n\xff\n",
         "binary.w": b"1 1 1.0\n\xff\n",
         "repeat.w": b"1 1 1.0\n2 2 0.3\n2 2 1.0\n",
+        "no-equals.cfg": b"n = 1000\nxi\n",
+        "maybe.cfg": b"n = 1000\nsimple = maybe\n",
+        "two-fields.w": b"1 1 1.0\n2 2\n",
+        "not-a-count.w": b"1 1 1.0\n2 x 1.0\n",
     }
     CASES = {
         "zeta-nan": (["--n", "1000", "--zeta", "nan"], 2, "zeta"),
@@ -244,6 +256,14 @@ class TestBadInput:
         "binary-config": (["--config", "{dir}/binary.cfg"], 1, "binary.cfg"),
         "binary-weights": (["--n", "1000", "--w-model", "{dir}/binary.w"], 1, "binary.w"),
         "repeated-weight": (["--n", "1000", "--w-model", "{dir}/repeat.w"], 1, "repeat.w:3"),
+        "config-line-without-equals": (["--config", "{dir}/no-equals.cfg"], 1,
+                                       "no-equals.cfg:2: expected key=value"),
+        "config-bool-not-a-boolean": (["--config", "{dir}/maybe.cfg"], 1,
+                                      "maybe.cfg:2: bad value for simple: not a boolean"),
+        "weight-line-of-two-fields": (["--n", "1000", "--w-model", "{dir}/two-fields.w"], 1,
+                                      "two-fields.w:2: expected 'size count weight'"),
+        "weight-line-not-numbers": (["--n", "1000", "--w-model", "{dir}/not-a-count.w"], 1,
+                                    "not-a-count.w:2: bad numbers"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -354,6 +374,19 @@ class TestOutputs:
         assert run_cli("--n", "400", "--out", str(out)) == 0
         assert (tmp_path / "direct" / "run.edges").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def test_exhausted_repair_budget_exits_four(tmp_path, capsys, monkeypatch):
+    # with no repair draws every defect is left; the files are still written
+    monkeypatch.setattr(rewiring, "BUDGET_PER_BAD", 0)
+    out = tmp_path / "x"
+    assert run_cli("--n", "1000", "--seed", "1", "--out", str(out)) == 4
+    assert "hgbench: warning[rewiring]: replicate 0: rewiring budget exhausted" in capsys.readouterr().err
+    for suffix in (".edges", ".assign", ".report.txt"):
+        assert (tmp_path / f"x{suffix}").exists()
+    report = read(f"{out}.report.txt").splitlines()
+    assert "warnings 1" in report
+    assert "# warning: rewiring budget exhausted with 122 defective edges left" in report
 
 
 class TestReportScores:
@@ -691,7 +724,7 @@ def outcome(reader, path):
         result = reader(path)
     except ValueError as exc:
         return str(exc)
-    return result if isinstance(result, list) else result.tolist()
+    return list(result)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -729,8 +762,8 @@ def test_reader_holds_a_few_blocks_beside_its_lists(tmp_path):
 
 
 def test_reader_runs_no_collection(tmp_path):
-    # the collector is paused for the whole read: a pass between blocks
-    # would rescan every list built so far
+    # the reader keeps ids in arrays and builds no Python list, so it
+    # allocates too few objects for the collector to start a pass
     path = str(tmp_path / "x.edges")
     write_edges_file(path, generate(default_params(2**15, seed=1)).hypergraph, 1)
     passes = []
@@ -759,10 +792,10 @@ def built(n, edges):
 def check_edge_lists(edges):
     """An EdgeLists builds the hypergraph its lists build, and reads as they do."""
     assert isinstance(edges, EdgeLists)
-    lists = edges.tolist()
+    lists = list(edges)
     assert type(lists) is list and all(type(edge) is list for edge in lists)
     assert built(1 << 20, edges) == built(1 << 20, lists)
-    assert edges.tolist() == lists   # from_edge_lists sorts its own copy
+    assert list(edges) == lists   # from_edge_lists sorts its own copy
     assert len(edges) == len(lists)
     assert [edges[i] for i in range(-len(lists), len(lists))] == lists + lists
     for i in (len(lists), -len(lists) - 1):
@@ -812,7 +845,7 @@ def test_id_past_int32_is_read_and_refused_by_from_edge_lists(tmp_path):
     path.write_bytes(b"1 2\n3000000000\n")
     edges = read_edges_file(str(path))
     assert edges == [[0, 1], [2999999999]]
-    for plain in (edges, edges.tolist()):
+    for plain in (edges, list(edges)):
         with pytest.raises(OverflowError, match=r"^Python integer 2999999999 out of bounds for int32$"):
             Hypergraph.from_edge_lists(3000000000, plain)
 

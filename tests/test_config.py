@@ -160,6 +160,27 @@ def test_validate_rejects_each_bad_field(change, field):
     assert field in {i.field for i in exc.value.issues}
 
 
+OUTSIDE_TRIANGLE = default_params(1024).w.values.copy()
+OUTSIDE_TRIANGLE[0, 2] = 0.5   # c = 0 is not a majority count of a size-2 edge
+
+
+@pytest.mark.parametrize("change,field,message", [
+    (dict(min_degree=2.5), "min_degree", "must be an integer"),
+    (dict(max_size=2000), "max_size", "must be <= n"),
+    (dict(q=(0.0, 1.5, -0.5, 0.0, 0.0)), "q", "entries must lie in [0, 1]"),
+    (dict(w="majority"), "w", "must be a WeightMatrix"),
+    (dict(w=build_weight_matrix("majority", 4)), "w", "weight matrix size must equal max_edge_size"),
+    (dict(w=WeightMatrix(5, default_params(1024).w.values * 2)), "w", "weights must lie in [0, 1]"),
+    (dict(w=WeightMatrix(5, OUTSIDE_TRIANGLE)), "w", "nonzero weight outside the admissible (c, d) triangle"),
+    (dict(simple=1), "simple", "must be a bool"),
+])
+def test_validate_names_each_issue(change, field, message):
+    p = dataclasses.replace(default_params(1024), **change)
+    with pytest.raises(InvalidParameters) as exc:
+        validate(p)
+    assert [(i.field, i.message) for i in exc.value.issues] == [(field, message)]
+
+
 def test_largest_int32_node_count_validates():
     validate(dataclasses.replace(default_params(1024), n=MAX_N))
     assert MAX_N == np.iinfo(np.int32).max

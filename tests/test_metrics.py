@@ -198,6 +198,12 @@ def assert_scores_like_a_fresh_copy(hg, labels):
     return got
 
 
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), ()])
+def test_census_refuses_a_partition_not_shaped_as_the_nodes(shape):
+    with pytest.raises(ValueError, match=r"^partition must label all 4 nodes, got shape "):
+        census(hg_from(4, [[0, 1], [2, 3]]), np.zeros(shape, dtype=np.int64))
+
+
 class TestCensusMemo:
     @pytest.fixture
     def case(self):
@@ -729,6 +735,16 @@ class TestTwoSection:
             tracemalloc.stop()
         assert peak <= 48 * keys + 65536, peak / keys
         assert held <= 25 * len(pairs[0]) + 8 * hg.n + 65536
+
+    def test_equal_only_to_itself(self):
+        # two graphs on as many nodes, with other edges, score apart; they
+        # must neither compare equal nor share one place in a set
+        a = two_section(hg_from(4, [[0, 1], [2, 3]]))
+        b = two_section(hg_from(4, [[0, 2], [1, 3]]))
+        assert graph_modularity(a, [0, 0, 1, 1]) == 0.5
+        assert graph_modularity(b, [0, 0, 1, 1]) == -0.5
+        assert a != b and len({a, b}) == 2
+        assert a == a and two_section(a.hypergraph) != a
 
 
 class TestPairsBuiltWhenFirstRead:

@@ -207,6 +207,16 @@ def test_sizes_sum_exact_large_n():
         _assert_valid_sizes(sizes, p.n, p.min_size, p.max_size)
 
 
+def test_overlong_candidate_is_trimmed_then_nudged_up():
+    # at beta 50 nearly every size is 10, so a candidate first reaches 105
+    # with 11 sizes (110); at most 105 // 10 = 10 fit, and the 10 left sum
+    # to about 100, which the passes nudge up one at a time
+    p = dataclasses.replace(default_params(105), min_size=10, max_size=20, beta=50.0)
+    for seed in range(5):
+        sizes = sample_community_sizes(p, np.random.default_rng(seed))
+        assert sizes.tolist() == [11] * 5 + [10] * 5, seed
+
+
 def test_sizes_deterministic():
     p = default_params(4096, seed=5)
     a = sample_community_sizes(p, np.random.default_rng(p.seed))
