@@ -397,30 +397,27 @@ def read_edges_file(path: str) -> EdgeLists:
     an ``EdgeLists`` of the blocks ``_scan`` reads: no list is built here.
 
     Every line that is not blank once '#' comments are removed is one edge:
-    node ids in 1..n, with n from the header's ``nodes=`` (else the largest
-    id).  When the header gives ``edges=``, the file must have that many
-    edge lines.  A fault raises a ValueError naming ``path:line``: the first
-    of the highest rank, where ``_scan``'s faults rank above an id outside
-    1..n, and that above a wrong ``edges=``.
+    node ids in 1..n, n the smaller of the header's ``nodes=`` and ``MAX_N``,
+    so every block is int32.  When the header gives ``edges=``, the file must
+    have that many edge lines.  A fault raises a ValueError naming ``path:line``:
+    the first of the highest rank, where ``_scan``'s faults rank above an id
+    outside 1..n, and that above a wrong ``edges=``.
     """
     header, blocks = _scan(path, "expected node ids", "node id")
-    n = header["nodes"][0] if "nodes" in header else None
-    kept, edges, top, outside = [], 0, 0, None
+    n = min(header["nodes"][0], MAX_N) if "nodes" in header else MAX_N
+    kept, edges, outside = [], 0, None
     for ids, bounds, lines in blocks:
         edges += len(lines)
-        if n is None:
-            top = max(top, int(ids.max(initial=0)))
         if outside:
             continue
-        bad = np.flatnonzero((ids < 1) if n is None else (ids < 1) | (ids > n))
+        bad = np.flatnonzero((ids < 1) | (ids > n))
         if len(bad):
             k = bad[0]
             outside = int(lines[np.searchsorted(bounds, k, "right") - 1]), int(ids[k])
             continue
-        ids -= 1   # kept as int32 when every id of the block fits
-        kept.append((ids.astype(np.int32) if ids.max(initial=0) < 2**31 else ids, bounds.astype(np.int32)))
+        kept.append((np.subtract(ids, 1, dtype=np.int32), bounds.astype(np.int32)))
     if outside:
-        _fail(path, outside[0], f"node id {outside[1]} is outside 1..{top if n is None else n}")
+        _fail(path, outside[0], f"node id {outside[1]} is outside 1..{n}")
     if "edges" in header and header["edges"][0] != edges:
         count, lineno = header["edges"]
         _fail(path, lineno, f"header says edges={count}, but the file has {edges} edge lines")

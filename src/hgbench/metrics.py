@@ -225,11 +225,11 @@ def _members_level(hg: Hypergraph) -> tuple:
 
 
 def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` by chunked np.take: faster than fancy indexing, no index-long intp copy."""
+    """``table[index]`` for indices in range, by chunked np.take: faster than fancy indexing, unchecked."""
     out = np.empty(index.shape, dtype=table.dtype)
     flat, dest = index.reshape(-1), out.reshape(-1)
     for start in range(0, len(flat), GATHER_CHUNK):
-        np.take(table, flat[start: start + GATHER_CHUNK], out=dest[start: start + GATHER_CHUNK])
+        np.take(table, flat[start: start + GATHER_CHUNK], out=dest[start: start + GATHER_CHUNK], mode="clip")
     return out
 
 

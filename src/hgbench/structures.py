@@ -63,10 +63,9 @@ def member_lists(members: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
 
 
 class EdgeLists(Sequence):
-    """Read-only 0-based member lists, kept as the reader's ``(ids, bounds)``
-    blocks: list j of a block is ``ids[bounds[j]:bounds[j+1]]``, where bounds
-    are int32 and ids int32 (int64 if one does not fit).  A list is built only
-    when read; a slice gives a plain list.  Equal to a sequence of the same lists."""
+    """Read-only 0-based member lists, kept as the reader's int32 ``(ids, bounds)`` blocks:
+    list j of a block is ``ids[bounds[j]:bounds[j+1]]``.  A list is built only when
+    read; a slice gives a plain list.  Equal to a sequence of the same lists."""
 
     def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]]):
         self.blocks = blocks
@@ -180,10 +179,16 @@ class Hypergraph:
         they are already int32: it keeps them without a copy and sorts
         ``members`` in place.  Pass copies to keep the originals, and a copy
         of a scored hypergraph's ``members``, which scoring made read-only.
+        Before any int32 cast, it refuses n above 2**31 and ids outside [0, n).
         """
+        if n > 2**31:
+            raise ValueError(f"n = {n} is above 2**31: node ids are int32")
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         offsets[1:] = sizes  # summed in place: no int64 copy of narrow sizes
         np.cumsum(offsets[1:], out=offsets[1:])
+        if len(members) and (members.min() < 0 or members.max() >= n):
+            k = int(np.flatnonzero((members < 0) | (members >= n))[0])
+            raise ValueError(f"edge {np.searchsorted(offsets, k, 'right') - 1}: node id {members[k]} not in [0, {n})")
         hg = cls(n, offsets, np.asarray(members, dtype=np.int32),
                  np.asarray(origins, dtype=np.int32))
         hg.sort_members()
@@ -196,8 +201,6 @@ class Hypergraph:
             blocks = [(np.empty(0, np.int32),) * 2] + edges.blocks
             sizes = np.concatenate([np.diff(bounds) for _, bounds in blocks])
             members = np.concatenate([ids for ids, _ in blocks])   # a copy, which from_sizes sorts
-            if members.dtype != np.int32:   # the first id past int32 raises fromiter's OverflowError
-                np.fromiter(members[members != members.astype(np.int32)][:1].tolist(), np.int32)
         else:
             sizes = np.fromiter(map(len, edges), dtype=np.int32, count=len(edges))
             members = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int32,

@@ -626,7 +626,7 @@ class TestEdgesReader:
         (HEADER, b"1 22\n2 x\n3\n", r"x\.edges:4: expected node ids, got 2 x$"),
         (HEADER, b"1 6\n2 22\n3\n", r"x\.edges:4: node id 22 has more than 1 digits"),
         (HEADER, b"1 6\n2\n", r"x\.edges:3: node id 6 is outside 1\.\.5"),
-        ("", b"1 2\n0\n3 8\n", r"x\.edges:2: node id 0 is outside 1\.\.8"),
+        ("", b"1 2\n0\n3 8\n", r"x\.edges:2: node id 0 is outside 1\.\.2147483647"),
     ], ids=["utf8-over-byte", "utf8-over-header", "byte-over-width", "width-over-range",
             "range-over-count", "range-names-the-largest-id"])
     def test_fault_of_highest_rank_wins(self, tmp_path, header, body, fault):
@@ -781,10 +781,10 @@ def test_reader_runs_no_collection(tmp_path):
 
 
 def built(n, edges):
-    """The arrays from_edge_lists builds, or its OverflowError's message."""
+    """The arrays from_edge_lists builds, or the message of its refusal."""
     try:
         hg = Hypergraph.from_edge_lists(n, edges)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         return str(exc)
     return [(a.dtype, a.tobytes()) for a in (hg.offsets, hg.members, hg.origins)]
 
@@ -839,15 +839,15 @@ def test_generated_edge_lists_read_and_build_as_their_lists(tmp_path, block):
 
 @pytest.mark.usefixtures("small_blocks")
 def test_id_past_int32_is_read_and_refused_by_from_edge_lists(tmp_path):
-    # the reader keeps such a block as int64; from_edge_lists refuses it as
-    # it refuses the same id in a plain list, never wrapped into int32
+    # the reader bounds ids by the largest int32 id even without a header,
+    # so its blocks are int32; a plain list with such an id fails in
+    # from_edge_lists, never wrapped into int32
     path = tmp_path / "wide.edges"
     path.write_bytes(b"1 2\n3000000000\n")
-    edges = read_edges_file(str(path))
-    assert edges == [[0, 1], [2999999999]]
-    for plain in (edges, list(edges)):
-        with pytest.raises(OverflowError, match=r"^Python integer 2999999999 out of bounds for int32$"):
-            Hypergraph.from_edge_lists(3000000000, plain)
+    with pytest.raises(ValueError, match=r"wide\.edges:2: node id 3000000000 is outside 1\.\.2147483647$"):
+        read_edges_file(str(path))
+    with pytest.raises(OverflowError, match=r"^Python integer 2999999999 out of bounds for int32$"):
+        Hypergraph.from_edge_lists(3000000000, [[0, 1], [2999999999]])
 
 
 def test_edge_lists_hold_four_bytes_per_slot_and_edge(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Edge-budget allocation oracles and whole-pipeline structural invariants."""
 import hashlib
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgbench.assignment import admissibility_table, precompute_feasibility
-from hgbench.config import GeneratorParams, build_weight_matrix, default_params
+from hgbench.config import (
+    WEIGHT_MODELS,
+    GeneratorParams,
+    build_weight_matrix,
+    default_params,
+    lowest_majority_count,
+)
 from hgbench.errors import InfeasibleError
 from hgbench.generation import (
     allocate_edge_counts,
@@ -497,3 +504,66 @@ def test_generate_peak_memory_stays_near_output_size():
         tracemalloc.stop()
     output = hg.offsets.nbytes + hg.members.nbytes + hg.origins.nbytes
     assert peak <= 2.3 * output, peak / output
+
+
+# The homogeneity check below compares, per size d, the shares of community
+# edges with k = 0..d members in their own community against the model's.
+# Over its 10 seeds, the three families make 140 comparisons per mode of a
+# share whose binomial standard error is not 0; a standard normal stays within
+# 4 on all of them with chance 0.99 (Bonferroni), so the window is 4 standard
+# errors, and a share the model makes exactly 0 or 1 must match.  Seeds 1-30
+# reached 0.67 of them in multi mode: the majority count c is allocated per
+# community, not drawn per edge, so only the external slots vary.  The
+# simple-mode repair pass reshuffles slots among the edges of one community,
+# which moves edges of the lowest majority count both up to d and below a
+# majority.  At seeds 1-30 that reached 3.8 standard errors, moved a share by
+# at most 0.0070 past the window (size 3, majority weights), and left at most
+# 0.70% of the edges of one size below a majority (size 2, majority weights).
+HOMOGENEITY_SEEDS = range(1, 11)
+Z_WINDOW = 4.0
+REPAIR_SHIFT = 0.01      # simple mode only, on top of the Z_WINDOW window
+BELOW_MAJORITY = 0.01    # simple mode only; multi mode leaves none
+XI_WINDOW = 0.001        # seeds 1-30 read xi = 0.1999-0.2003 at 0.2
+
+
+def model_own_counts(w_row, d, p, edges):
+    """The expected number of size-d community edges with k = 0..d members in
+    their own community, for ``edges[j]`` such edges in community j: c
+    internal slots with chance ``w_row[c - lo]``, plus Binomial(d - c, p[j])
+    external slots in the community, ``p[j]`` its share of the external pool."""
+    expected = np.zeros(d + 1)
+    for c, wc in enumerate(w_row, start=lowest_majority_count(d)):
+        for i in range(d - c + 1):
+            expected[c + i] += wc * comb(d - c, i) * (edges * p**i * (1 - p)**(d - c - i)).sum()
+    return expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("simple", [False, True], ids=["multi", "simple"])
+@pytest.mark.parametrize("family", WEIGHT_MODELS)
+def test_community_edges_follow_the_weight_model(family, simple):
+    # h-ABCD's homogeneity claim: w sets how many members of a community edge
+    # lie in its community, for every weight family
+    w = build_weight_matrix(family, 5)
+    for seed in HOMOGENEITY_SEEDS:
+        res = generate(default_params(2**17, seed=seed, w=w, simple=simple))
+        hg, profiles, label = res.hypergraph, res.profiles, res.assignment.member_of
+        external = np.bincount(label, weights=profiles.community_degree - profiles.internal_degree,
+                               minlength=res.assignment.community_count)
+        p = external / max(external.sum(), 1)   # strict weights leave no external community slot
+        sizes = hg.sizes()
+        for d, rows in hg.size_classes():
+            origins = hg.origins[sizes == d]
+            ours = origins >= 0
+            if d == 1 or not ours.any():
+                continue
+            edges = int(ours.sum())
+            own = (label[rows[:, ours]] == origins[ours]).sum(axis=0)
+            share = np.bincount(own, minlength=d + 1) / edges
+            model = model_own_counts(w.normalized().row(d), d, p, np.bincount(origins[ours], minlength=len(p))) / edges
+            window = Z_WINDOW * np.sqrt(model * (1 - model) / edges) + (REPAIR_SHIFT if simple else 1e-12)
+            assert (np.abs(share - model) <= window).all(), (seed, d, share.round(4), model.round(4))
+            below = share[:lowest_majority_count(d)].sum()
+            assert below <= (BELOW_MAJORITY if simple else 0), (seed, d, below)
+        background = sizes[(hg.origins == ORIGIN_BACKGROUND) & (sizes >= 2)].sum()
+        assert abs(background / sizes[sizes >= 2].sum() - 0.2) <= XI_WINDOW, seed

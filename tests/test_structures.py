@@ -4,12 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgbench import __version__, default_params, structures
-from hgbench.cli import write_edges_file
+from hgbench.cli import read_edges_file, write_edges_file
 from hgbench.generation import generate
+from hgbench.metrics import census
 from hgbench.structures import (
     _NETWORK_MIN_ROWS,
     _NETWORKS,
@@ -115,6 +116,65 @@ class TestFromEdgeLists:
         own = transient(lambda: Hypergraph.from_sizes(
             hg.n, sizes, hg.members.copy(), np.full(hg.edge_count, ORIGIN_BACKGROUND, dtype=np.int32)))
         assert listed - own <= 4 * hg.edge_count + (64 << 10), (listed - own) / hg.edge_count
+
+
+class TestNodeIdsAreChecked:
+    """from_sizes, which generate and from_edge_lists end in, refuses ids
+    outside [0, n) and n past the int32 ids before any cast to int32."""
+
+    @staticmethod
+    def build(n, members, sizes=(2,)):
+        return Hypergraph.from_sizes(n, np.array(sizes), members, np.full(len(sizes), ORIGIN_BACKGROUND))
+
+    def test_int64_id_past_int32_is_not_wrapped(self):
+        # cast to int32, 2**32 + 1 would read as node 1
+        with pytest.raises(ValueError, match=r"^edge 0: node id 4294967297 not in \[0, 4\)$"):
+            self.build(4, np.array([0, 2**32 + 1], dtype=np.int64))
+
+    def test_negative_id(self):
+        with pytest.raises(ValueError, match=r"^edge 1: node id -1 not in \[0, 4\)$"):
+            self.build(4, np.array([0, 1, 2, -1], dtype=np.int32), sizes=(1, 3))
+
+    def test_id_equal_to_n(self):
+        # the empty edges between share the bad edge's offset; the message names the edge itself
+        with pytest.raises(ValueError, match=r"^edge 3: node id 4 not in \[0, 4\)$"):
+            self.build(4, np.array([0, 1, 3, 4, 2], dtype=np.int32), sizes=(2, 0, 0, 2, 1))
+
+    def test_n_past_int32_ids(self):
+        self.build(2**31, np.array([0, 2**31 - 1], dtype=np.int32))
+        with pytest.raises(ValueError, match=r"^n = 2147483649 is above 2\*\*31"):
+            self.build(2**31 + 1, np.array([0, 1], dtype=np.int32))
+
+    def test_from_edge_lists_names_the_first_bad_edge(self):
+        with pytest.raises(ValueError, match=r"^edge 0: node id 5 not in \[0, 3\)$"):
+            Hypergraph.from_edge_lists(3, [[0, 5], [1, 2]])
+
+    def test_id_written_into_members_fails_the_first_census(self):
+        # the census gathers labels without a bounds check; an id written in
+        # place after the build fails the census's degree count before that
+        hg = Hypergraph.from_edge_lists(3, [[0, 1], [1, 2]])
+        hg.members[1] = hg.n
+        with pytest.raises(ValueError):
+            census(hg, np.zeros(hg.n, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12))
+def test_edge_lists_refused_or_written_and_read_back(tmp_path, data, n):
+    """from_edge_lists refuses exactly the lists with an id outside [0, n);
+    any other hypergraph reads back from its edges file as the same arrays."""
+    lists = data.draw(st.lists(st.lists(st.integers(min_value=-2, max_value=n + 1), min_size=1, max_size=6),
+                               max_size=12))
+    if any(not 0 <= i < n for edge in lists for i in edge):
+        with pytest.raises(ValueError, match=r"^edge \d+: node id -?\d+ not in \["):
+            Hypergraph.from_edge_lists(n, lists)
+        return
+    hg = Hypergraph.from_edge_lists(n, lists)
+    path = str(tmp_path / "x.edges")
+    write_edges_file(path, hg, 1)
+    again = Hypergraph.from_edge_lists(n, read_edges_file(path))
+    for a, b in ((hg.offsets, again.offsets), (hg.members, again.members), (hg.origins, again.origins)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ids that sorting networks and sort(axis=1) must both order: the extremes
