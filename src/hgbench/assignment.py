@@ -23,7 +23,7 @@ def split_degrees(degrees: np.ndarray, xi: float, rng: np.random.Generator):
     """Split each degree into (community, background) = (y, z), z = round(xi * degree).
 
     Rounding is stochastic and independent per node, so E[z] = xi * degree.
-    Returns (y, z) as int64 arrays.
+    Returns (y, z) as int32 arrays, as the degrees are.
     """
     z = stochastic_round_array(xi * degrees, rng)
     y = degrees - z
@@ -197,4 +197,4 @@ def assign_communities(y: np.ndarray, z: np.ndarray, sizes: np.ndarray,
         rng.shuffle(pool)   # the draws of rng.permutation, faster on intp items
         member_of[tail] = pool
 
-    return CommunityAssignment(np.asarray(sizes, dtype=np.int64), member_of)
+    return CommunityAssignment(np.asarray(sizes, dtype=np.int32), member_of)

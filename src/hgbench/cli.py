@@ -6,7 +6,7 @@ report.  All settings can come from a key=value config file, from flags, or
 both; flags win.  Files are byte-identical across runs with the same settings.
 
 Exit codes: 0 ok, 1 usage or unparseable input, 2 invalid parameter values,
-3 generation infeasible, 4 rewiring budget exhausted (outputs still written).
+3 infeasible or out of memory, 4 rewiring budget exhausted (outputs still written).
 """
 from __future__ import annotations
 
@@ -603,6 +603,9 @@ def main(argv=None) -> int:
         return 2
     except HgbenchError as exc:
         print(f"hgbench: error[generation]: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"hgbench: error[generation]: not enough memory: {exc}", file=sys.stderr)
         return 3
 
 

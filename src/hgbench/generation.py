@@ -18,6 +18,7 @@ from .config import GeneratorParams, lowest_majority_count, validate
 from .errors import InfeasibleError
 from .sampling import sample_community_sizes, sample_degrees, stochastic_round
 from .structures import (
+    MAX_VOLUME,
     ORIGIN_BACKGROUND,
     ORIGIN_SINGLETON,
     CommunityAssignment,
@@ -126,13 +127,13 @@ def build_singletons(degrees: np.ndarray, params: GeneratorParams,
     if params.simple:
         keys = rng.exponential(size=n) / degrees
         owners = np.argsort(keys, kind="stable")[:m1].astype(np.int32)
-        spent = np.zeros(n, dtype=np.int64)
+        spent = np.zeros(n, dtype=np.int32)
         spent[owners] = 1
     else:
         slots = rng.choice(volume, size=m1, replace=False)
         bounds = np.cumsum(degrees)
         owners = np.searchsorted(bounds, slots, side="right").astype(np.int32)
-        spent = np.bincount(owners, minlength=n).astype(np.int64)
+        spent = np.bincount(owners, minlength=n).astype(np.int32)
     return owners, degrees - spent
 
 
@@ -167,7 +168,7 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
     w_norm = params.w.normalized()
     max_d = params.max_edge_size
     rows, parts = [], []   # parts: (majority count, start in the pool) per group
-    y_int = np.zeros(len(y), dtype=np.int64)
+    y_int = np.zeros(len(y), dtype=np.int32)
     pools = []
     wide = np.empty(0, dtype=np.intp)   # shuffle buffer, grown to the largest pool
 
@@ -301,6 +302,10 @@ def generate(params: GeneratorParams) -> GenerationResult:
         timings[phase] = clock[-1] - clock[-2]
 
     sampled = sample_degrees(params, rng)
+    volume = int(sampled.sum())   # a background bump adds fewer than max_edge_size slots
+    if volume > MAX_VOLUME - params.max_edge_size:
+        raise InfeasibleError(f"the sampled degrees sum to {volume} member slots, above "
+                              f"{MAX_VOLUME - params.max_edge_size}: offsets are int32")
     lap("degrees")
     sizes = sample_community_sizes(params, rng)
     lap("community_sizes")

@@ -31,9 +31,9 @@ class PowerLawTable:
     mean: float
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws as an int64 array."""
+        """``size`` draws as an int32 array."""
         idx = np.searchsorted(self.cdf, rng.random(size), side="right")
-        return (self.lo + idx).astype(np.int64)
+        return np.add(idx, self.lo, out=idx).astype(np.int32)
 
     def ccdf(self) -> np.ndarray:
         """P(X >= k) for k = lo .. hi."""
@@ -63,9 +63,9 @@ def stochastic_round(value: float, rng: np.random.Generator) -> int:
 
 
 def stochastic_round_array(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized stochastic rounding; consumes one uniform per entry."""
+    """Vectorized stochastic rounding to int32; consumes one uniform per entry."""
     base = np.floor(values)
-    return (base + (rng.random(len(values)) < values - base)).astype(np.int64)
+    return (base + (rng.random(len(values)) < values - base)).astype(np.int32)
 
 
 def sample_degrees(params: GeneratorParams, rng: np.random.Generator) -> np.ndarray:

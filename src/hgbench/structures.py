@@ -12,6 +12,8 @@ import numpy as np
 ORIGIN_BACKGROUND = -1
 ORIGIN_SINGLETON = -2
 
+MAX_VOLUME = 2**31 - 1   # the most member slots a hypergraph holds: offsets are int32
+
 
 # Sorting networks by width (Batcher 1968): each pair (i, j), i < j, puts the
 # smaller of columns i and j into column i.  Per row a network costs less
@@ -22,8 +24,8 @@ _NETWORKS = {2: [(0, 1)], 3: [(1, 2), (0, 2), (0, 1)],
 _NETWORK_MIN_ROWS = {2: 64, 3: 256, 4: 768}
 _FEWEST_NETWORK_ROWS = min(_NETWORK_MIN_ROWS.values())
 
-# edges whose sizes size_runs compares at a time: an int64 np.diff over every
-# edge would cost 8 bytes per edge
+# edges whose sizes size_runs compares at a time: an np.diff over every edge
+# would cost 4 bytes per edge
 _RUN_CHUNK = 1 << 16
 
 
@@ -96,15 +98,27 @@ class Hypergraph:
 
     Member slots within an edge are kept sorted ascending.  A slot holds a
     node id in [0, n); an edge may repeat a node (multiset) only when the
-    generator runs in non-simple mode or before rewiring.
+    generator runs in non-simple mode or before rewiring.  The constructor
+    refuses n above 2**31 and ids outside [0, n) before it casts the three
+    arrays to int32; int32 arrays are kept without a copy.
     """
 
     n: int
-    offsets: np.ndarray   # int64, length edge_count + 1, offsets[0] == 0
+    offsets: np.ndarray   # int32, length edge_count + 1, offsets[0] == 0
     members: np.ndarray   # int32, length offsets[-1]
     origins: np.ndarray   # int32 per edge
     # the census memo, kept while offsets and members are the same arrays; see metrics.census
     _census: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.n > 2**31:
+            raise ValueError(f"n = {self.n} is above 2**31: node ids are int32")
+        members = np.asarray(self.members)
+        if len(members) and (members.min() < 0 or members.max() >= self.n):
+            k = int(np.flatnonzero((members < 0) | (members >= self.n))[0])
+            raise ValueError(f"edge {np.searchsorted(self.offsets, k, 'right') - 1}: node id {members[k]} not in [0, {self.n})")
+        self.offsets, self.members, self.origins = (
+            np.asarray(a, dtype=np.int32) for a in (self.offsets, members, self.origins))
 
     @property
     def edge_count(self) -> int:
@@ -137,7 +151,7 @@ class Hypergraph:
         sizes = self.sizes()
         sizes = sizes.astype(np.min_scalar_type(sizes.max(initial=0)))
         for d in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
-            starts = self.offsets[:-1][sizes == d]
+            starts = self.offsets[:-1][sizes == d].astype(np.intp)   # np.take's index type
             rows = np.empty((d, len(starts)), dtype=self.members.dtype)
             for row in rows:
                 np.take(self.members, starts, out=row)
@@ -179,18 +193,15 @@ class Hypergraph:
         they are already int32: it keeps them without a copy and sorts
         ``members`` in place.  Pass copies to keep the originals, and a copy
         of a scored hypergraph's ``members``, which scoring made read-only.
-        Before any int32 cast, it refuses n above 2**31 and ids outside [0, n).
+        It refuses a volume above MAX_VOLUME before it sums the int32 offsets.
         """
-        if n > 2**31:
-            raise ValueError(f"n = {n} is above 2**31: node ids are int32")
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        offsets[1:] = sizes  # summed in place: no int64 copy of narrow sizes
-        np.cumsum(offsets[1:], out=offsets[1:])
-        if len(members) and (members.min() < 0 or members.max() >= n):
-            k = int(np.flatnonzero((members < 0) | (members >= n))[0])
-            raise ValueError(f"edge {np.searchsorted(offsets, k, 'right') - 1}: node id {members[k]} not in [0, {n})")
-        hg = cls(n, offsets, np.asarray(members, dtype=np.int32),
-                 np.asarray(origins, dtype=np.int32))
+        volume = int(sizes.sum())
+        if volume > MAX_VOLUME:
+            raise ValueError(f"volume = {volume} member slots is above {MAX_VOLUME}: offsets are int32")
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int32)
+        offsets[1:] = sizes  # summed in place: no copy of narrow sizes
+        np.cumsum(offsets[1:], out=offsets[1:], dtype=np.int32)
+        hg = cls(n, offsets, members, origins)
         hg.sort_members()
         return hg
 
@@ -222,7 +233,7 @@ class DegreeProfiles:
                       per-community split
 
     community_degree + background_degree == degree except for bumped nodes,
-    where the sum exceeds degree by exactly 1.
+    where the sum exceeds degree by exactly 1.  Each is an int32 array of length n.
     """
 
     sampled_degree: np.ndarray
@@ -236,7 +247,7 @@ class DegreeProfiles:
 class CommunityAssignment:
     """Ground-truth partition: sizes (non-increasing) and per-node community index."""
 
-    sizes: np.ndarray      # int64, sorted non-increasing
+    sizes: np.ndarray      # int32, sorted non-increasing
     member_of: np.ndarray  # int32, community index per node
 
     @property

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hgbench import cli, rewiring, structures
+from hgbench import cli, generation, rewiring, structures
 from hgbench.cli import (
     build_params,
     build_parser,
@@ -387,6 +388,31 @@ def test_exhausted_repair_budget_exits_four(tmp_path, capsys, monkeypatch):
     report = read(f"{out}.report.txt").splitlines()
     assert "warnings 1" in report
     assert "# warning: rewiring budget exhausted with 122 defective edges left" in report
+
+
+def test_out_of_memory_is_one_line_and_exit_three(tmp_path):
+    # --L 20000 asks for a 20001 x 20001 weight triangle, 5.96 GiB of indices;
+    # under a 2 GB address space numpy raises MemoryError.  The limit is set
+    # in the child only.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-m", "hgbench.cli", "--n", "20000", "--L", "20000",
+                           "--out", str(tmp_path / "x")], env=env, capture_output=True,
+                          text=True, preexec_fn=limit)
+    assert done.returncode == 3
+    assert done.stderr.startswith("hgbench: error[generation]: not enough memory: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_volume_past_int32_offsets_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(generation, "sample_degrees", lambda params, rng: np.full(params.n, 2**28, np.int32))
+    assert run_cli("--n", "1000", "--out", str(tmp_path / "x")) == 3
+    assert capsys.readouterr().err.startswith(
+        "hgbench: error[generation]: the sampled degrees sum to 268435456000 member slots")
 
 
 class TestReportScores:

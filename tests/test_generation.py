@@ -2,6 +2,7 @@
 import hashlib
 import tracemalloc
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,6 +409,12 @@ def sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def wide(array):
+    """An int32 array as the int64 array it was when its digest was pinned."""
+    assert array.dtype == np.int32
+    return array.astype(np.int64)
+
+
 class TestLargeDigests:
     """Pinned sha256 of generate's arrays at n = 2^15, seed 3: 105 communities
     and 424 runs of equal-size edges, far more than the n = 2000 golden files;
@@ -416,7 +423,8 @@ class TestLargeDigests:
     The digests were taken from the generator as it was before community
     edges were filled block by block (v0.3.0); the block fill reproduces them
     unchanged.  A change to any of them is a change of the output for a given
-    seed and must bump the version.
+    seed and must bump the version.  ``offsets`` and the degree ledger were
+    int64 then and are int32 now, so they are hashed as int64 (``wide``).
     """
 
     SHARED = {
@@ -436,14 +444,13 @@ class TestLargeDigests:
         res = generate(default_params(2**15, seed=3, simple=simple))
         hg = res.hypergraph
         assert res.warnings == []
-        assert hg.offsets.dtype == np.int64
         assert hg.members.dtype == hg.origins.dtype == res.assignment.member_of.dtype == np.int32
         arrays = {
-            "offsets": hg.offsets,
+            "offsets": wide(hg.offsets),
             "origins": hg.origins,
             "member_of": res.assignment.member_of,
-            "internal_degree": res.profiles.internal_degree,
-            "background_degree": res.profiles.background_degree,
+            "internal_degree": wide(res.profiles.internal_degree),
+            "background_degree": wide(res.profiles.background_degree),
         }
         assert {name: sha256(a) for name, a in arrays.items()} == self.SHARED
         assert sha256(hg.members) == self.MEMBERS[simple]
@@ -456,12 +463,12 @@ class TestLargeDigests:
         res = generate(default_params(10**6, seed=1, simple=False))
         hg = res.hypergraph
         arrays = {
-            "offsets": hg.offsets,
+            "offsets": wide(hg.offsets),
             "members": hg.members,
             "origins": hg.origins,
             "member_of": res.assignment.member_of,
-            "internal_degree": res.profiles.internal_degree,
-            "background_degree": res.profiles.background_degree,
+            "internal_degree": wide(res.profiles.internal_degree),
+            "background_degree": wide(res.profiles.background_degree),
         }
         assert {name: sha256(a) for name, a in arrays.items()} == {
             "offsets": "947da6f95b60a184d9bd67b79c41909b866de46108dce3ecd61e05c1959a1650",
@@ -504,6 +511,36 @@ def test_generate_peak_memory_stays_near_output_size():
         tracemalloc.stop()
     output = hg.offsets.nbytes + hg.members.nbytes + hg.origins.nbytes
     assert peak <= 2.3 * output, peak / output
+
+
+def test_result_holds_four_byte_integers():
+    # offsets and the degree ledger are int32, like the ids and labels.  The
+    # traced peak is bounded by that layout, 4 bytes per member slot, 8 per
+    # edge (offset, origin) and 24 per node (five ledger arrays, a label), plus
+    # 30%: seeds 1-4 read 1.16-1.17 of it, and 1.62-1.63 with int64 offsets
+    # and ledger.
+    params = default_params(2**15, seed=1, simple=False)
+    generate(params)
+    tracemalloc.start()
+    try:
+        res = generate(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hg = res.hypergraph
+    arrays = [hg.offsets, hg.members, hg.origins, *vars(res.assignment).values(), *vars(res.profiles).values()]
+    assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * 10
+    layout = 4 * hg.volume + 8 * hg.edge_count + 24 * hg.n
+    assert peak <= 1.3 * layout, peak / layout
+
+
+def test_volume_past_int32_offsets_is_infeasible(monkeypatch):
+    # refused as soon as the degrees are drawn, before any edge is built
+    monkeypatch.setattr(generation, "sample_degrees", lambda params, rng: np.full(params.n, 2**28, np.int32))
+    monkeypatch.setattr(generation, "build_singletons", mock.Mock(side_effect=AssertionError("edges built")))
+    with pytest.raises(InfeasibleError, match=r"^the sampled degrees sum to 26843545600 member slots, "
+                                              r"above 2147483642: offsets are int32$"):
+        generate(default_params(100, seed=1, min_size=10))
 
 
 # The homogeneity check below compares, per size d, the shares of community

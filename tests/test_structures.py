@@ -41,7 +41,7 @@ class TestFromEdgeLists:
         # unsorted members, repeated slots, empty edges, sizes in any order
         hg = Hypergraph.from_edge_lists(10, edges)
         offsets, members = per_edge_sorted(10, edges)
-        assert hg.offsets.dtype == np.int64 and hg.members.dtype == np.int32
+        assert hg.offsets.dtype == hg.members.dtype == np.int32
         assert np.array_equal(hg.offsets, offsets)
         assert np.array_equal(hg.members, members)
         assert (hg.origins == ORIGIN_BACKGROUND).all() and len(hg.origins) == len(edges)
@@ -81,11 +81,11 @@ class TestFromEdgeLists:
         assert members.tolist() == [0, 1, 2, 1, 3, 0, 2]
 
     def test_from_sizes_takes_narrow_sizes(self):
-        # generate passes uint8 sizes; the offsets are int64 all the same
+        # generate passes uint8 sizes; the offsets are int32 all the same
         members = np.array([2, 0, 1, 3, 1, 0, 2], dtype=np.int32)
         origins = np.full(3, ORIGIN_BACKGROUND, dtype=np.int32)
         hg = Hypergraph.from_sizes(4, np.array([3, 2, 2], dtype=np.uint8), members, origins)
-        assert hg.offsets.dtype == np.int64 and hg.offsets.tolist() == [0, 3, 5, 7]
+        assert hg.offsets.dtype == np.int32 and hg.offsets.tolist() == [0, 3, 5, 7]
         assert hg.edge_lists() == [[0, 1, 2], [1, 3], [0, 2]]
 
     def test_no_edges(self):
@@ -119,8 +119,9 @@ class TestFromEdgeLists:
 
 
 class TestNodeIdsAreChecked:
-    """from_sizes, which generate and from_edge_lists end in, refuses ids
-    outside [0, n) and n past the int32 ids before any cast to int32."""
+    """The constructor, which from_sizes, generate and from_edge_lists end in,
+    refuses ids outside [0, n) and n past the int32 ids before any cast to
+    int32; from_sizes refuses a volume past its int32 offsets."""
 
     @staticmethod
     def build(n, members, sizes=(2,)):
@@ -144,6 +145,19 @@ class TestNodeIdsAreChecked:
         self.build(2**31, np.array([0, 2**31 - 1], dtype=np.int32))
         with pytest.raises(ValueError, match=r"^n = 2147483649 is above 2\*\*31"):
             self.build(2**31 + 1, np.array([0, 1], dtype=np.int32))
+
+    def test_constructor_checks_ids(self):
+        # node 4 of a 3-node hypergraph: unchecked, rewire moved it, degrees()
+        # failed to broadcast and the edges file named node 5 under nodes=3
+        with pytest.raises(ValueError, match=r"^edge 0: node id 4 not in \[0, 3\)$"):
+            Hypergraph(3, np.array([0, 2, 4, 6, 8]), np.array([0, 4, 0, 4, 1, 2, 1, 2], dtype=np.int32),
+                       np.full(4, ORIGIN_BACKGROUND, dtype=np.int32))
+
+    def test_volume_past_int32_offsets(self):
+        # refused from the sizes alone, before a cumsum could wrap the offsets
+        with mock.patch("numpy.cumsum", side_effect=AssertionError("cumsum called")):
+            with pytest.raises(ValueError, match=r"^volume = 2147483648 member slots is above 2147483647"):
+                self.build(4, np.array([0, 1], dtype=np.int32), sizes=(2**30, 2**30))
 
     def test_from_edge_lists_names_the_first_bad_edge(self):
         with pytest.raises(ValueError, match=r"^edge 0: node id 5 not in \[0, 3\)$"):
