@@ -139,8 +139,10 @@ def build_singletons(degrees: np.ndarray, params: GeneratorParams,
 
 def build_community_edges(y: np.ndarray, z: np.ndarray,
                           assignment: CommunityAssignment,
-                          params: GeneratorParams, rng: np.random.Generator):
-    """Community edges for every community; returns (groups, members, internal shares).
+                          params: GeneratorParams, rng: np.random.Generator,
+                          out: np.ndarray):
+    """Community edges for every community, written to the front of ``out``;
+    returns (groups, internal shares).
 
     Mutates y and z in place: leftover slots that no edge size can absorb move
     from the community share to the background share, one at a time, node
@@ -148,29 +150,22 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
 
     Groups are (size d, community, edge count) tuples in build order: per
     community, sizes largest first and, within a size, majority counts c
-    largest first.  The m edges of a group are filled as one (m, d) block of
-    members: its first c columns from the community's shuffled internal pool
-    and the rest from one shuffled external pool shared by all communities,
-    both consumed in build order.  Also returns the per-node internal slot
-    count.
+    largest first.  The m edges of a group are one (m, d) block of ``out``:
+    its first c columns from the community's shuffled internal pool and the
+    rest from one shuffled external pool shared by all communities, both
+    consumed in build order.  Also returns the per-node internal slot count.
 
-    Every pool is shuffled as intp and stored as int32: ``Generator.shuffle``
-    makes the same draws and the same permutation for any item size, and it
-    is fastest on 8-byte items.  A community pool is shuffled in one reused
-    intp buffer, and its int32 copy is made after the pool's ``np.repeat``
-    temporary is freed.  Two layouts with the same outputs, all pools in one
-    int32 block or each repeat shuffled in place and copied out while still
-    alive, left the heap so that the peak resident memory of repeated calls
-    at n = 10^6 moved by 20 MiB or more from one seed to the next
-    (CHANGES.md).
+    A community's groups are contiguous, so its pool, shuffled in one reused
+    intp buffer, fills their first columns at once.  ``Generator.shuffle`` makes
+    the same permutation for any item size, and it is fastest on 8-byte items.
     """
     q = params.normalized_q()
     w_norm = params.w.normalized()
     max_d = params.max_edge_size
-    rows, parts = [], []   # parts: (majority count, start in the pool) per group
+    rows, majority = [], []   # majority count c per group
     y_int = np.zeros(len(y), dtype=np.int32)
-    pools = []
     wide = np.empty(0, dtype=np.intp)   # shuffle buffer, grown to the largest pool
+    at = 0   # slots filled
 
     for j, nodes in enumerate(assignment.groups()):
         yj = y[nodes]
@@ -184,7 +179,7 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
             y[node] -= 1
             z[node] += 1
 
-        internal_total = 0
+        first, internal_total = len(rows), 0
         for d in range(max_d, 1, -1):
             if counts[d] == 0:
                 continue
@@ -192,7 +187,7 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
             for c in np.flatnonzero(type_counts)[::-1].tolist():
                 m = int(type_counts[c])
                 rows.append((d, j, m))
-                parts.append((c, internal_total))
+                majority.append(c)
                 internal_total += c * m
 
         shares = distribute_internal(yj, internal_total, rng)
@@ -202,25 +197,26 @@ def build_community_edges(y: np.ndarray, z: np.ndarray,
         pool = wide[:internal_total]
         pool[:] = np.repeat(nodes, shares)   # intp, as the groups are
         rng.shuffle(pool)
-        pools.append(pool.astype(np.int32))
+        for (d, _, m), c in zip(rows[first:], majority[first:]):
+            out[at: at + d * m].reshape(m, d)[:, :c] = pool[:c * m].reshape(m, c)
+            pool = pool[c * m:]
+            at += d * m
 
+    del nodes, pool, wide   # nodes views the node order of every community
     external = np.repeat(np.arange(len(y), dtype=np.intp), y - y_int)
     rng.shuffle(external)
-    members = np.empty(int(y.sum()), dtype=np.int32)
-    at = taken = 0  # slots filled, external slots consumed
-    for (d, j, m), (c, start) in zip(rows, parts):
-        block = members[at: at + d * m].reshape(m, d)
-        block[:, :c] = pools[j][start: start + c * m].reshape(m, c)
-        block[:, c:] = external[taken: taken + (d - c) * m].reshape(m, d - c)
+    at = taken = 0   # slots passed, external slots consumed
+    for (d, _, m), c in zip(rows, majority):
+        out[at: at + d * m].reshape(m, d)[:, c:] = external[taken: taken + (d - c) * m].reshape(m, d - c)
         at += d * m
         taken += (d - c) * m
-    return rows, members, y_int
+    return rows, y_int
 
 
 def build_background_edges(z: np.ndarray, params: GeneratorParams,
                            singleton_owners: np.ndarray,
-                           rng: np.random.Generator):
-    """Background edges over the z pool; returns (groups, members).
+                           rng: np.random.Generator, out: np.ndarray):
+    """Background edges over the z pool, written to the front of ``out``; returns the groups.
 
     Groups are (size, origin, edge count) tuples, sizes largest first, and the
     members are the shuffled pool, consumed in that order.  Leftover points
@@ -228,20 +224,22 @@ def build_background_edges(z: np.ndarray, params: GeneratorParams,
     extra singleton edges when q_1 > 0 (simple mode additionally requires the
     leftover points to sit on distinct nodes with no singleton yet) or are
     topped up to one extra size-R edge by bumping the background share of
-    R - r nodes drawn proportionally to z, appended after the pool.  Mutates z
+    R - r nodes drawn proportionally to z, written after the pool.  Mutates z
     for bumped nodes.
     """
     q = params.normalized_q()
     n = len(z)
     pool = np.repeat(np.arange(n, dtype=np.intp), z)
     rng.shuffle(pool)   # as intp: see build_community_edges
-    pool = pool.astype(np.int32)
-    counts, r = allocate_edge_counts(len(pool), q, params.max_edge_size)
+    size = len(pool)
+    out[:size] = pool
+    del pool   # freed before the bump's temporaries
+    counts, r = allocate_edge_counts(size, q, params.max_edge_size)
     rows = [(d, ORIGIN_BACKGROUND, counts[d])
             for d in range(params.max_edge_size, 1, -1) if counts[d]]
     if r == 0:
-        return rows, pool
-    tail = pool[len(pool) - r:]
+        return rows
+    tail = out[size - r: size]
 
     smallest = next((d for d in range(2, params.max_edge_size + 1) if q[d - 1] > 0), None)
 
@@ -254,7 +252,7 @@ def build_background_edges(z: np.ndarray, params: GeneratorParams,
             ok = not (ordered[1:] == ordered[:-1]).any() and not has_singleton[tail].any()
         if ok:
             rows.append((1, ORIGIN_SINGLETON, r))
-            return rows, pool
+            return rows
 
     if smallest is None:
         raise InfeasibleError(
@@ -274,8 +272,9 @@ def build_background_edges(z: np.ndarray, params: GeneratorParams,
         chosen.append(int(candidates[pick]))
     for node in chosen:
         z[node] += 1
+    out[size: size + need] = chosen
     rows.append((smallest, ORIGIN_BACKGROUND, 1))
-    return rows, np.concatenate([pool, np.asarray(chosen, dtype=np.int32)])
+    return rows
 
 
 def generate(params: GeneratorParams) -> GenerationResult:
@@ -316,21 +315,22 @@ def generate(params: GeneratorParams) -> GenerationResult:
     consts = precompute_feasibility(sizes, params)
     assignment = assign_communities(y, z, sizes, consts, rng)
     lap("assignment")
-    community_groups, community_members, y_int = build_community_edges(
-        y, z, assignment, params, rng)
+    slots = np.empty(volume + params.max_edge_size, dtype=np.int32)   # each slot written once
+    s = len(singleton_owners)
+    slots[:s] = singleton_owners
+    community_groups, y_int = build_community_edges(y, z, assignment, params, rng, slots[s:])
+    s += int(y.sum())
     lap("community_edges")
-    background_groups, background_members = build_background_edges(
-        z, params, singleton_owners, rng)
+    background_groups = build_background_edges(z, params, singleton_owners, rng, slots[s:])
+    s += int(z.sum())
     lap("background_edges")
 
     groups = np.array([(1, ORIGIN_SINGLETON, len(singleton_owners))]
                       + community_groups + background_groups, dtype=np.int64)
-    members = np.concatenate([singleton_owners, community_members, background_members])
-    del community_members, background_members  # only the joined slots are kept
     hg = Hypergraph.from_sizes(
         params.n, np.repeat(groups[:, 0].astype(np.min_scalar_type(params.max_edge_size)),
                             groups[:, 2]),
-        members, np.repeat(groups[:, 1].astype(np.int32), groups[:, 2]))
+        slots[:s], np.repeat(groups[:, 1].astype(np.int32), groups[:, 2]))
     lap("assembly")
 
     if params.simple:
@@ -348,7 +348,6 @@ def generate(params: GeneratorParams) -> GenerationResult:
         background_degree=z,
         internal_degree=y_int,
     )
-    # glibc keeps the freed pools, repeats and buffers resident; where the
-    # caller's next large arrays land among them would set its peak
+    # hand back the freed repeats and buffers: kept resident, they would shift the caller's next peak
     _trim_heap()
     return GenerationResult(hg, assignment, profiles, timings, warnings_list)

@@ -234,6 +234,8 @@ class DegreeProfiles:
 
     community_degree + background_degree == degree except for bumped nodes,
     where the sum exceeds degree by exactly 1.  Each is an int32 array of length n.
+    When no singleton edge is drawn (q_1 = 0, the default), ``degree`` is
+    ``sampled_degree`` itself, one array: an in-place edit of one is seen in both.
     """
 
     sampled_degree: np.ndarray

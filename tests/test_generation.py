@@ -224,10 +224,10 @@ class TestBuildBackgroundEdges:
         # one slot on node 1, smallest size 5: node 1 once, then 3 repeat draws
         p = small_params(q=(0.0, 0.0, 0.0, 0.0, 1.0))
         z = np.array([0, 1, 0, 0], dtype=np.int64)
-        rows, members = build_background_edges(z, p, np.empty(0, np.int32),
-                                               np.random.default_rng(0))
+        out = np.empty(z.sum() + p.max_edge_size, dtype=np.int32)   # room for a bump, as in generate
+        rows = build_background_edges(z, p, np.empty(0, np.int32), np.random.default_rng(0), out)
         assert rows == [(5, ORIGIN_BACKGROUND, 1)]
-        assert members.tolist() == [1] * 5
+        assert out[:5].tolist() == [1] * 5
         assert z.tolist() == [0, 5, 0, 0]
 
 
@@ -532,6 +532,37 @@ def test_result_holds_four_byte_integers():
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * 10
     layout = 4 * hg.volume + 8 * hg.edge_count + 24 * hg.n
     assert peak <= 1.3 * layout, peak / layout
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_member_slot_is_written_once(seed):
+    # the member slots are one int32 array, filled in place by the singleton,
+    # community and background phases: no pool copy, no concatenate.  Seeds
+    # 1-3 read 1.05 of the 4/8/24-byte layout, and 1.14 when each phase made
+    # its own member array and generate joined them.
+    params = default_params(2**17, seed=seed, simple=False)
+    generate(params)
+    tracemalloc.start()
+    try:
+        res = generate(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hg = res.hypergraph
+    layout = 4 * hg.volume + 8 * hg.edge_count + 24 * hg.n
+    assert peak <= 1.10 * layout, peak / layout
+    spare = hg.members.base.nbytes - hg.members.nbytes   # the room kept for a background bump
+    assert 0 < spare <= 4 * params.max_edge_size
+
+
+def test_degree_is_the_sampled_degree_without_singletons():
+    # no singleton edge leaves the budget as drawn, and generate keeps the
+    # array rather than copy it (4 bytes per node of its peak)
+    prof = generate(small_params(seed=5)).profiles
+    assert prof.degree is prof.sampled_degree
+    prof = generate(small_params(q=(0.3, 0.175, 0.175, 0.175, 0.175), seed=5)).profiles
+    assert not np.shares_memory(prof.degree, prof.sampled_degree)
+    assert (prof.degree < prof.sampled_degree).any()
 
 
 def test_volume_past_int32_offsets_is_infeasible(monkeypatch):
