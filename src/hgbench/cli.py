@@ -39,7 +39,7 @@ from .errors import (
 )
 from .generation import generate
 from .metrics import ccdf_report, census
-from .structures import EdgeLists, size_runs
+from .structures import EdgeLists
 
 # The report reads every modularity and histogram line from one census.  These
 # metrics stay importable from here, where bench/worker.py traces them.
@@ -229,32 +229,98 @@ def resolve_prefix(out: str) -> str:
     return out
 
 
+# member slots the writers gather and write at a time: at n = 2^17 and 10^6
+# chunks of 2^15 to 2^16 slots wrote fastest, and 2^18 took up to 1.7 times as long
+_CHUNK = 1 << 16
+
+
+def _id_words(top: int) -> np.ndarray:
+    """The word of each id i < top, as a void scalar: the digits of i + 1,
+    NUL-padded on the left, then a space.  Words are 8 bytes while top < 10**7,
+    so that every i + 1 has at most 7 digits, and 16 bytes above.
+
+    Row v of the table holds the number v.  As v = 10q + r is the digits of
+    q, then the digit r, each decade is copied from the one below it, ten
+    rows from each row.
+    """
+    width = 8 if top < 10**7 else 16
+    rows = -(-(top + 1) // 10) * 10   # whole tens, so that every decade reshapes by tens
+    words = np.zeros((rows, width), dtype=np.uint8)
+    words[:, -1] = ord(" ")
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    words[1:10, -2] = digits[1:]
+    low = 10
+    while low < rows:
+        high = min(10 * low, rows)
+        tens = words[low:high].reshape(-1, 10, width)
+        tens[:, :, :-2] = words[low // 10: high // 10, None, 1:-1]
+        tens[:, :, -2] = digits
+        low *= 10
+    return words[1: top + 1].view(f"V{width}").ravel()
+
+
+def _write_words(handle, words: np.ndarray, ends) -> None:
+    """Write ``words`` with a newline for the space of each word at ``ends``,
+    and with no NUL."""
+    text = words.view(np.uint8).reshape(len(words), -1)
+    text[ends, -1] = ord("\n")
+    handle.write(text.tobytes().translate(None, b"\0"))
+
+
 def write_edges_file(path: str, hg, seed: int) -> None:
     """One edge per line: member node ids, 1-based, ascending, space-separated.
 
-    Edges come in runs of equal size, and each run is formatted with one
-    template of that run's shape.  An empty edge would be a blank line, which
-    the reader skips, so the first one raises ValueError before the file is
-    opened.
+    Each id is formatted once, into the word table of ``_id_words``; each
+    chunk of ``_CHUNK`` member slots is one gather of words and one write.
+    An empty edge would be a blank line, which the reader skips, and
+    ``np.take`` would wrap a negative id: so the first empty edge, and the
+    first edge that holds an id outside ``[0, n)``, raise ValueError before
+    the file is opened.
     """
-    empty = np.flatnonzero(hg.sizes() == 0)
+    members, offsets = hg.members, hg.offsets
+    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
     if len(empty):
         raise ValueError(f"edge {empty[0]} is empty; an edges file cannot hold an empty edge")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# hgbench {__version__} edges\n")
-        handle.write(f"# nodes={hg.n} edges={hg.edge_count} seed={seed}\n")
-        for run in size_runs(hg.members, hg.offsets):
-            line = " ".join(["%d"] * run.shape[1]) + "\n"
-            handle.write((line * len(run)) % tuple((run + 1).ravel().tolist()))
+    top = int(members.max(initial=-1)) + 1
+    if members.min(initial=0) < 0 or top > hg.n:
+        k = np.flatnonzero((members < 0) | (members >= hg.n))[0]
+        raise ValueError(f"edge {np.searchsorted(offsets, k, 'right') - 1} holds node id "
+                         f"{members[k]}, outside [0, {hg.n})")
+    words = _id_words(top)
+    with open(path, "wb") as handle:
+        handle.write(f"# hgbench {__version__} edges\n"
+                     f"# nodes={hg.n} edges={hg.edge_count} seed={seed}\n".encode())
+        for s0 in range(0, len(members), _CHUNK):
+            s1 = min(s0 + _CHUNK, len(members))
+            # the edges that end in the chunk; int32 keys spare offsets an int64 copy
+            lo, hi = offsets.searchsorted(np.array([s0, s1], dtype=offsets.dtype), "right")
+            _write_words(handle, words.take(members[s0:s1]), offsets[lo:hi] - (s0 + 1))
 
 
 def write_assignment_file(path: str, assignment, seed: int) -> None:
-    """One line per node: "node community", both 1-based."""
-    n = len(assignment.member_of)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# hgbench {__version__} assignments\n")
-        handle.write(f"# nodes={n} communities={len(assignment.sizes)} seed={seed}")
-        handle.write(_rows("%d %d", np.arange(1, n + 1), assignment.member_of + 1) + "\n")
+    """One line per node: "node community", both 1-based.
+
+    Node words are the first n words of the ``_id_words`` table, community
+    words are gathered from it, and each chunk of rows is written as one
+    block of word pairs.  A label outside ``[0, communities)`` raises
+    ValueError, naming the first such node, before the file is opened.
+    """
+    labels = assignment.member_of
+    n, k = len(labels), len(assignment.sizes)
+    top = int(labels.max(initial=-1)) + 1
+    if labels.min(initial=0) < 0 or top > k:
+        v = np.flatnonzero((labels < 0) | (labels >= k))[0]
+        raise ValueError(f"node {v} has community {labels[v]}, outside [0, {k})")
+    words = _id_words(max(n, top))
+    with open(path, "wb") as handle:
+        handle.write(f"# hgbench {__version__} assignments\n"
+                     f"# nodes={n} communities={k} seed={seed}\n".encode())
+        for r0 in range(0, n, _CHUNK // 2):
+            r1 = min(r0 + _CHUNK // 2, n)
+            pairs = np.empty((r1 - r0, 2), dtype=words.dtype)
+            pairs[:, 0] = words[r0:r1]
+            pairs[:, 1] = words.take(labels[r0:r1])
+            _write_words(handle, pairs.ravel(), slice(1, None, 2))
 
 
 _BLOCK = 1 << 20   # bytes _scan reads at a time; each block is cut back to whole lines

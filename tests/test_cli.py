@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hgbench import cli, generation, rewiring, structures
+from hgbench import __version__, cli, generation, rewiring, structures
 from hgbench.cli import (
     build_params,
     build_parser,
@@ -28,6 +28,7 @@ from hgbench.cli import (
     merge_settings,
     read_assignment_file,
     read_edges_file,
+    write_assignment_file,
     write_edges_file,
     write_report_file,
 )
@@ -312,6 +313,26 @@ class TestOutputs:
             write_edges_file(str(path), hg, seed=0)
         assert not path.exists()
 
+    @pytest.mark.parametrize("slot, node", [(1, -1), (2, 7)])
+    def test_out_of_range_id_is_refused_before_writing(self, tmp_path, slot, node):
+        # an id edited in place after the constructor's check; np.take would wrap -1
+        hg = Hypergraph.from_edge_lists(4, [[0, 1], [2, 3], [1, 2]])
+        hg.members = hg.members.copy()
+        hg.members[slot] = node
+        path = tmp_path / "bad.edges"
+        with pytest.raises(ValueError, match=rf"^edge {slot // 2} holds node id {node}, outside \[0, 4\)"):
+            write_edges_file(str(path), hg, seed=0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", [5, -3, 2])
+    def test_out_of_range_label_is_refused_before_writing(self, tmp_path, label):
+        assignment = CommunityAssignment(np.array([2, 2], dtype=np.int32),
+                                         np.array([0, 1, label, 0], dtype=np.int32))
+        path = tmp_path / "bad.assign"
+        with pytest.raises(ValueError, match=rf"^node 2 has community {label}, outside \[0, 2\)"):
+            write_assignment_file(str(path), assignment, seed=0)
+        assert not path.exists()
+
     def test_edges_are_one_based_sorted(self, tmp_path):
         out = tmp_path / "fmt"
         assert run_cli("--n", "500", "--out", str(out)) == 0
@@ -434,6 +455,97 @@ class TestReportScores:
         write_report_file(str(path), result, build_params(settings), settings)
         text = read(path).split("[modularity]\n")[1].splitlines()
         assert text[:4] == expected
+
+
+def edges_reference(hg, seed):
+    """An edges file formatted line by line, with no word table."""
+    lines = [f"# hgbench {__version__} edges", f"# nodes={hg.n} edges={hg.edge_count} seed={seed}"]
+    lines += [" ".join(str(v + 1) for v in hg.members[a:b].tolist())
+              for a, b in zip(hg.offsets[:-1].tolist(), hg.offsets[1:].tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assignment_reference(assignment, seed):
+    """An assignment file formatted line by line, with no word table."""
+    labels = assignment.member_of.tolist()
+    lines = [f"# hgbench {__version__} assignments",
+             f"# nodes={len(labels)} communities={len(assignment.sizes)} seed={seed}"]
+    lines += [f"{v + 1} {c + 1}" for v, c in enumerate(labels)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def writer_inputs(draw):
+    """A hypergraph with size-1 edges, repeated slots and no edges among its
+    cases, and an assignment of its n >= 1 nodes."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), max_size=12))
+    k = draw(st.integers(min_value=1, max_value=n))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return (Hypergraph.from_edge_lists(n, edges),
+            CommunityAssignment(np.full(k, 1, dtype=np.int32), np.array(labels, dtype=np.int32)))
+
+
+class TestWordTableWriters:
+    """The writers format each id once, into a table of words, and gather
+    them a chunk of slots at a time; the files match a per-line formatter."""
+
+    @given(case=writer_inputs(), chunk=st.integers(min_value=2, max_value=7))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_a_per_line_formatter(self, tmp_path, case, chunk):
+        hg, assignment = case
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            write_edges_file(str(tmp_path / "h.edges"), hg, seed=3)
+            write_assignment_file(str(tmp_path / "h.assign"), assignment, seed=3)
+        assert (tmp_path / "h.edges").read_bytes() == edges_reference(hg, 3)
+        assert (tmp_path / "h.assign").read_bytes() == assignment_reference(assignment, 3)
+
+    @pytest.mark.parametrize("top, width", [(9_999_999, 8), (10_000_000, 16)])
+    def test_word_width_follows_the_largest_id(self, tmp_path, top, width):
+        assert cli._id_words(top).itemsize == width
+        edges = [[0], [8, 9, 10], [98, 99, 999, 9_999], [99_999, 999_999, top - 2, top - 1], [top - 1]]
+        hg = Hypergraph.from_edge_lists(top + 5, edges)
+        write_edges_file(str(tmp_path / "w.edges"), hg, seed=1)
+        assert (tmp_path / "w.edges").read_bytes() == edges_reference(hg, 1)
+
+    @pytest.mark.parametrize("chunk", [2, 3, 4, 5])
+    def test_edges_that_span_chunks(self, tmp_path, chunk):
+        # slots 0-2 | 3-5 | 6 | 7-10: chunk bounds fall inside edges and at their ends
+        hg = Hypergraph.from_edge_lists(12, [[0, 1, 11], [2, 3, 4], [10], [5, 6, 7, 9]])
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            write_edges_file(str(tmp_path / "c.edges"), hg, seed=2)
+        assert read(tmp_path / "c.edges").splitlines()[2:] == ["1 2 12", "3 4 5", "11", "6 7 8 10"]
+
+    @pytest.mark.parametrize("chunk", [2, 4, 1 << 16])
+    def test_assignment_pairs(self, tmp_path, chunk):
+        assignment = CommunityAssignment(np.array([5, 3, 2], dtype=np.int32),
+                                         np.array([1, 0, 0, 2, 0, 1, 0, 0, 1, 2], dtype=np.int32))
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            write_assignment_file(str(tmp_path / "p.assign"), assignment, seed=9)
+        assert read(tmp_path / "p.assign") == (
+            f"# hgbench {__version__} assignments\n# nodes=10 communities=3 seed=9\n"
+            "1 2\n2 1\n3 1\n4 3\n5 1\n6 2\n7 1\n8 1\n9 2\n10 3\n")
+
+    def test_edges_writer_peak_is_the_table_and_one_chunk(self, tmp_path):
+        n = 1 << 17
+        members = np.random.default_rng(5).integers(0, n, 12 * n, dtype=np.int32)
+        hg = Hypergraph(n, np.arange(0, 12 * n + 1, 3), members, np.full(4 * n, -1))
+        # the 8-byte word table, and per chunk the gathered words, their
+        # intp indices, their bytes and the text left once NULs are dropped
+        bound = 8 * n + 4 * 8 * cli._CHUNK
+
+        def peak():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                write_edges_file(str(tmp_path / "m.edges"), hg, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() <= bound
+        with mock.patch.object(cli, "_CHUNK", hg.volume):   # the whole output at once
+            assert peak() > bound
 
 
 class TestGoldenDigests:

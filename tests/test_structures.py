@@ -362,7 +362,7 @@ class TestSizeRuns:
         assert_blocks_equal(got, per_edge_runs([sorted(e) for e in edges]))
 
     def test_alternating_sizes_in_member_lists_and_writer(self, tmp_path):
-        # sizes 2, 3, 2, 3, ...: one run per edge in member_lists and the writer
+        # sizes 2, 3, 2, 3, ...: one run per edge in member_lists
         edges = [[(i + 3) % 7, i % 7] + ([i % 7 + 7] if i % 2 else []) for i in range(40)]
         hg = Hypergraph.from_edge_lists(14, edges)
         expected = [sorted(e) for e in edges]
