@@ -60,7 +60,7 @@ def log_binomial(m, k):
     return np.where((k < 0) | (k > m), -np.inf, out)
 
 
-@dataclass
+@dataclass(eq=False)
 class FeasibilityConstants:
     """Linear admissibility bounds per community.
 

@@ -270,8 +270,10 @@ def _write_words(handle, words: np.ndarray, ends) -> None:
 def write_edges_file(path: str, hg, seed: int) -> None:
     """One edge per line: member node ids, 1-based, ascending, space-separated.
 
-    Each id is formatted once, into the word table of ``_id_words``; each
-    chunk of ``_CHUNK`` member slots is one gather of words and one write.
+    Each id is formatted once, into the word table of ``_id_words``; when
+    the largest id is above the number of member slots, only the distinct
+    ids get a word, so the table never outgrows the file.  Each chunk of
+    ``_CHUNK`` member slots is one gather of words and one write.
     An empty edge would be a blank line, which the reader skips, and
     ``np.take`` would wrap a negative id: so the first empty edge, and the
     first edge that holds an id outside ``[0, n)``, raise ValueError before
@@ -286,7 +288,14 @@ def write_edges_file(path: str, hg, seed: int) -> None:
         k = np.flatnonzero((members < 0) | (members >= hg.n))[0]
         raise ValueError(f"edge {np.searchsorted(offsets, k, 'right') - 1} holds node id "
                          f"{members[k]}, outside [0, {hg.n})")
-    words = _id_words(top)
+    if top <= len(members):
+        words = _id_words(top)
+    else:   # sparse ids: one word per distinct id, not per id below the largest
+        ids, members = np.unique(members, return_inverse=True)
+        text = np.zeros((len(ids), 16), dtype=np.uint8)
+        text[:, :-1] = (ids + 1).astype("S15").view(np.uint8).reshape(-1, 15)
+        text[:, -1] = ord(" ")
+        words = text.view("V16").ravel()
     with open(path, "wb") as handle:
         handle.write(f"# hgbench {__version__} edges\n"
                      f"# nodes={hg.n} edges={hg.edge_count} seed={seed}\n".encode())

@@ -44,6 +44,12 @@ class WeightMatrix:
     max_edge_size: int
     values: np.ndarray  # shape (max_edge_size + 1, max_edge_size + 1), [c, d]
 
+    def __eq__(self, other) -> bool:
+        """Equal by value, so parameter sets holding equal weights compare equal."""
+        if not isinstance(other, WeightMatrix):
+            return NotImplemented
+        return self.max_edge_size == other.max_edge_size and np.array_equal(self.values, other.values)
+
     def row(self, d: int) -> np.ndarray:
         """Weights for size d, indexed c = lowest_majority_count(d) .. d."""
         return self.values[lowest_majority_count(d): d + 1, d]

@@ -104,7 +104,7 @@ def graph_modularity(graph: TwoSection, partition) -> float:
     return census(graph.hypergraph, partition).pairwise_modularity()
 
 
-@dataclass
+@dataclass(eq=False)
 class Census:
     """Edge compositions of a hypergraph under a node partition: counts[d, c]
     counts the size-d edges whose largest part holds c > d/2 slots, and
@@ -291,7 +291,7 @@ def type_histogram(hg: Hypergraph, partition) -> dict[tuple[int, int], int]:
     return census(hg, partition).type_histogram()
 
 
-@dataclass
+@dataclass(eq=False)
 class StatsReport:
     """Distributional statistics of one generated hypergraph."""
 

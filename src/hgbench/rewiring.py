@@ -208,30 +208,23 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
     queue, table, width = _classify(hg)
     if not len(queue):
         return 0
-    groups = hg.origins - ORIGIN_SINGLETON   # singletons, background, then communities
-    # edge ids ordered by group, then id.  The stable sort is fast because
+    # edge ids ordered by origin, then id.  The stable sort is fast because
     # origins come in a few long runs: generate lays out singletons, then
     # communities in ascending order, then background, and from_edge_lists
     # gives all background.  On shuffled origins it would take about 5x as
-    # long as one sort of packed (group << bits | id) keys.
-    order = np.argsort(groups, kind="stable")
-    # rank the groups in that order, so the per-group arrays are as long as
-    # the number of origins; singletons stay 0 and background 1, empty or not
-    rank = groups[order]
-    singletons, communities = np.searchsorted(rank, np.array([1, 2], dtype=rank.dtype)).tolist()
-    rise = np.ones(len(rank), dtype=bool)   # where a community's edges start
-    np.not_equal(rank[1:], rank[:-1], out=rise[1:])
-    rise[:communities] = False
-    rank[:] = rise
-    np.cumsum(rank, out=rank)
-    rank[singletons:] += 1
-    groups[order] = rank
-    del rank, rise
+    # long as one sort of packed (origin << bits | id) keys.
+    order = np.argsort(hg.origins, kind="stable")
     by_group = order.astype(np.int32)
+    ranked = hg.origins[order]
     del order
-    total = np.bincount(groups, minlength=2)
-    first, total = np.append(np.cumsum(total) - total, 0), np.append(total, hg.edge_count)
-    background = ORIGIN_BACKGROUND - ORIGIN_SINGLETON
+    # the groups: singletons 0 and background 1, empty or not, then each
+    # community present, so the per-group arrays count origins, not ids
+    rise = np.append(True, ranked[1:] != ranked[:-1]) & (ranked >= 0)
+    present = np.append(np.array([ORIGIN_SINGLETON, ORIGIN_BACKGROUND], dtype=np.int32), ranked[rise])
+    first = np.searchsorted(ranked, present)
+    del ranked, rise
+    total = np.diff(first, append=hg.edge_count)
+    first, total = np.append(first, 0), np.append(total, hg.edge_count)
     rejections = np.zeros(len(queue), dtype=np.int64)
     budget, draws = BUDGET_PER_BAD * len(queue), 0
 
@@ -247,11 +240,11 @@ def rewire(hg: Hypergraph, rng: np.random.Generator) -> int:
                 "no intact edge left to merge with while defective edges remain")
         draws += len(queue)
 
-        live = total - np.bincount(groups[queue], minlength=len(total))
+        own = np.searchsorted(present, hg.origins[queue])
+        live = total - np.bincount(own, minlength=len(total))
         level = rejections // WIDEN_AFTER
-        own = groups[queue]
-        pick = np.where((level == 0) & (live[own] > 0), own,  # -1: the last group, all edges
-                        np.where((level <= 1) & (live[background] > 0), background, -1))
+        pick = np.where((level == 0) & (live[own] > 0), own,  # 1: the background; -1: all edges
+                        np.where((level <= 1) & (live[1] > 0), 1, -1))
         span = total[pick]
         slot = first[pick] + np.minimum((rng.random(len(queue)) * span).astype(np.int64), span - 1)
         partner = by_group[slot].astype(np.int64)

@@ -17,7 +17,7 @@ from .errors import InfeasibleError
 MAX_SIZE_CANDIDATES = 1000
 
 
-@dataclass
+@dataclass(eq=False)
 class PowerLawTable:
     """Discrete power law on [lo, hi]: P(X = k) proportional to k**-exponent.
 

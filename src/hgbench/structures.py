@@ -92,7 +92,7 @@ class EdgeLists(Sequence):
         return isinstance(other, Sequence) and len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-@dataclass
+@dataclass(eq=False)
 class Hypergraph:
     """Hyperedges stored flat: edge i occupies members[offsets[i]:offsets[i+1]].
 
@@ -219,7 +219,7 @@ class Hypergraph:
         return cls.from_sizes(n, sizes, members, np.full(len(edges), ORIGIN_BACKGROUND, dtype=np.int32))
 
 
-@dataclass
+@dataclass(eq=False)
 class DegreeProfiles:
     """Per-node degree ledger tracking how each node's budget was spent.
 
@@ -245,7 +245,7 @@ class DegreeProfiles:
     internal_degree: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class CommunityAssignment:
     """Ground-truth partition: sizes (non-increasing) and per-node community index."""
 
@@ -267,7 +267,7 @@ class CommunityAssignment:
         return [order[bounds[j]: bounds[j + 1]] for j in range(k)]
 
 
-@dataclass
+@dataclass(eq=False)
 class GenerationResult:
     """Everything produced by one generator run."""
 

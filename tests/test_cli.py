@@ -502,7 +502,12 @@ class TestWordTableWriters:
 
     @pytest.mark.parametrize("top, width", [(9_999_999, 8), (10_000_000, 16)])
     def test_word_width_follows_the_largest_id(self, tmp_path, top, width):
-        assert cli._id_words(top).itemsize == width
+        words = cli._id_words(top)
+        assert words.itemsize == width
+        # the file below has few slots, so it is written from distinct-id words
+        ids = [0, 8, 9, 10, 98, 99, 999, 9_999, 99_999, 999_999, top - 2, top - 1]
+        text = words[ids].view(np.uint8).reshape(len(ids), width)
+        assert [row.tobytes().lstrip(b"\0") for row in text] == [b"%d " % (v + 1) for v in ids]
         edges = [[0], [8, 9, 10], [98, 99, 999, 9_999], [99_999, 999_999, top - 2, top - 1], [top - 1]]
         hg = Hypergraph.from_edge_lists(top + 5, edges)
         write_edges_file(str(tmp_path / "w.edges"), hg, seed=1)
@@ -525,6 +530,22 @@ class TestWordTableWriters:
         assert read(tmp_path / "p.assign") == (
             f"# hgbench {__version__} assignments\n# nodes=10 communities=3 seed=9\n"
             "1 2\n2 1\n3 1\n4 3\n5 1\n6 2\n7 1\n8 1\n9 2\n10 3\n")
+
+    def test_sparse_ids_get_words_of_their_own(self, tmp_path):
+        # two slots and a largest id near 3 * 10**7: a table of every id below
+        # the largest took 0.6 s and a 458 MiB traced peak for this 65-byte file
+        n = 3 * 10**7
+        hg = Hypergraph.from_edge_lists(n, [[0, n - 1]])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_edges_file(str(tmp_path / "s.edges"), hg, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "s.edges").read_bytes() == (
+            f"# hgbench {__version__} edges\n# nodes=30000000 edges=1 seed=5\n1 30000000\n").encode()
+        assert peak <= 1 << 20
 
     def test_edges_writer_peak_is_the_table_and_one_chunk(self, tmp_path):
         n = 1 << 17

@@ -213,6 +213,20 @@ def test_weight_matrix_row_sum_off_rejected():
     assert "w" in {i.field for i in exc.value.issues}
 
 
+def test_weight_matrices_and_params_compare_by_value():
+    # equal weights in distinct arrays: comparing the arrays themselves raised
+    # ValueError ("truth value of an array ... is ambiguous")
+    assert default_params(100) == default_params(100)
+    assert default_params(100) != default_params(100, seed=1)
+    w = build_weight_matrix("linear", 5)
+    assert w == build_weight_matrix("linear", 5)
+    assert w != build_weight_matrix("majority", 5)
+    assert w != build_weight_matrix("linear", 4)
+    nudged = WeightMatrix(5, w.values.copy())
+    nudged.values[3, 4] += 0.125
+    assert w != nudged and w in [nudged, w]
+
+
 def test_normalized_rows_sum_exactly_one():
     wm = build_weight_matrix("linear", 12)
     norm = wm.normalized()

@@ -190,6 +190,17 @@ class TestBuildSingletons:
         assert len(owners) == 0
         assert (after == degrees).all()
 
+    def test_share_that_rounds_to_no_edge_is_a_no_op(self):
+        # q_1 * volume = 0.2, and seed 0's first uniform, 0.637, rounds it down
+        p = small_params(q=(0.001, 0.24975, 0.24975, 0.24975, 0.24975))
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        degrees = np.full(50, 4, dtype=np.int64)
+        owners, after = build_singletons(degrees, p, rng)
+        assert len(owners) == 0 and owners.dtype == np.int32
+        assert after is degrees
+        twin.random()   # the rounding draw is the only one
+        assert rng.random() == twin.random()
+
     def test_simple_mode_distinct_owners(self):
         p = small_params(q=(0.3, 0.175, 0.175, 0.175, 0.175), simple=True)
         rng = np.random.default_rng(2)

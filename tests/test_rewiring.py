@@ -321,6 +321,43 @@ class TestCrowdedRepairDigests:
         assert hashlib.sha256(hg.members.tobytes()).hexdigest() == digest
 
 
+class TestRepairGroups:
+    """The partner draw's groups: singletons and background, then each
+    community present in ascending origin order.  Pinned by the sha256 of
+    ``members`` after the repair and by its return value."""
+
+    EDGES = [[0, 0], [1, 2], [3, 4], [5, 5], [6, 7], [1, 3], [2, 2], [4, 6], [0, 7], [8, 1]]
+    CASES = {
+        "sparse-origins": (9, EDGES, [0, 0, 0, 7, 7, 7, 10**6, 10**6, 10**6, -1], 1, 0,
+                           "bbcb866a9af886cd40ba97ac58c6f884b9cff85bf818a7a90d70af58926f98d0"),
+        "no-singleton-or-background": (6, [[0, 1, 1], [2, 3, 4], [0, 5], [0, 5], [3, 3], [1, 4], [2, 5, 0]],
+                                       [3, 3, 5, 5, 5, 3, 3], 2, 0,
+                                       "3fbf9c1ab0e01542a1ac10ed2b6abedf75ab7247b9eecd3595a599128b924bf3"),
+        "interleaved": (7, [[0, 0, 1], [2, 3], [4], [4], [5, 6, 1], [2, 3], [1, 1], [0, 6], [3, 5],
+                            [6, 6, 2], [4, 5]],
+                        [4, -1, -2, -2, 2, 4, 2, -1, 4, 2, -1], 1, 0,
+                        "23aee6715c4eb708f19adcda58822537deed96f0b95801115ec9565cb483f22e"),
+    }
+
+    @staticmethod
+    def repair(n, edges, origins, seed):
+        hg = Hypergraph.from_edge_lists(n, edges)
+        hg.origins[:] = origins
+        left = rewire(hg, np.random.default_rng(seed))
+        return left, hashlib.sha256(hg.members.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_members_match_pinned_digests(self, case):
+        n, edges, origins, seed, left, digest = self.CASES[case]
+        assert self.repair(n, edges, origins, seed) == (left, digest)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_community_origins_draw_by_their_order_not_their_value(self, seed):
+        sparse = self.CASES["sparse-origins"][2]
+        dense = [{7: 1, 10**6: 2}.get(origin, origin) for origin in sparse]
+        assert self.repair(9, self.EDGES, sparse, seed) == self.repair(9, self.EDGES, dense, seed)
+
+
 @st.composite
 def multigraphs(draw):
     n = draw(st.integers(min_value=4, max_value=12))

@@ -1,4 +1,5 @@
 """Hypergraph container: array assembly from edge lists."""
+import copy
 import tracemalloc
 from unittest import mock
 
@@ -8,9 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgbench import __version__, default_params, structures
+from hgbench.assignment import precompute_feasibility
 from hgbench.cli import read_edges_file, write_edges_file
 from hgbench.generation import generate
-from hgbench.metrics import census
+from hgbench.metrics import ccdf_report, census
+from hgbench.sampling import truncated_power_law
 from hgbench.structures import (
     _NETWORK_MIN_ROWS,
     _NETWORKS,
@@ -404,3 +407,29 @@ class TestGroups:
         assert len(got) == len(want) == k
         for a, b in zip(got, want):
             assert a.dtype == np.intp and np.array_equal(a, b)
+
+
+
+@pytest.fixture(scope="module")
+def records():
+    params = default_params(500, seed=3)
+    res = generate(params)
+    hg, truth = res.hypergraph, res.assignment
+    return {"Hypergraph": hg, "CommunityAssignment": truth, "DegreeProfiles": res.profiles,
+            "GenerationResult": res, "Census": census(hg, truth.member_of),
+            "StatsReport": ccdf_report(hg, truth, params),
+            "FeasibilityConstants": precompute_feasibility(truth.sizes, params),
+            "PowerLawTable": truncated_power_law(2.5, 1, 10)}
+
+
+@pytest.mark.parametrize("name", ["Hypergraph", "CommunityAssignment", "DegreeProfiles", "GenerationResult",
+                                  "Census", "StatsReport", "FeasibilityConstants", "PowerLawTable"])
+def test_array_records_equal_only_themselves(records, name):
+    # comparing two records field by field compared their arrays and raised
+    # ValueError; a record that holds arrays equals only itself, like TwoSection
+    record = records[name]
+    assert type(record).__name__ == name
+    twin = copy.deepcopy(record)
+    assert record == record and not record != record
+    assert not record == twin and record != twin
+    assert record not in [twin] and record in [twin, record]
